@@ -21,17 +21,16 @@ streaming checkpointed scan (``scan_mode="stream"``) removes them, and
 ``test_streaming_scan_large_graph`` holds it to ≤ 0.6x the stacked peak at
 ≥ 0.9x the stacked throughput on a ≥1000-path merged batch.
 
-Every figure measured here is also written to ``BENCH_throughput.json`` at
-the repo root (samples/sec and tracemalloc peaks keyed by batch size, dtype
-and scan mode), so the perf trajectory is machine-readable across PRs.
+Every figure measured here is also written to
+``.benchmarks/BENCH_throughput.json`` (samples/sec and tracemalloc peaks
+keyed by batch size, dtype and scan mode), so the perf trajectory is
+machine-readable across PRs.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
-import pathlib
 import time
 import tracemalloc
 
@@ -55,9 +54,7 @@ DTYPES = ("float64", "float32")
 NUM_SAMPLES = 32
 EPOCHS = 2
 
-BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
-
-#: Accumulated measurements, dumped to ``BENCH_throughput.json`` after the
+#: Accumulated measurements, dumped to ``.benchmarks/BENCH_throughput.json`` after the
 #: module runs.  Keys are stringified so the JSON round-trips cleanly.
 RESULTS: dict = {"scan_mode_default": "compiled"}
 
@@ -67,27 +64,11 @@ def _resolved_dtype_name(dtype) -> str:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(host_metadata):
-    """Merge every measurement this module produced into the repo-root JSON.
-
-    Read-update-write rather than overwrite, so a partial run (``-k`` subset,
-    or an aborted ``-x`` session) refreshes only the sections it actually
-    measured and the rest of the perf record survives.
-    """
+def _write_bench_json(write_bench_rows):
     yield
     RESULTS["unit"] = {"throughput": "trained samples per second",
                        "peak_memory": "tracemalloc peak bytes"}
-    for key, row in RESULTS.items():
-        if isinstance(row, dict) and key != "unit":
-            row.setdefault("host", host_metadata)
-    merged: dict = {}
-    if BENCH_JSON_PATH.exists():
-        try:
-            merged = json.loads(BENCH_JSON_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(RESULTS)
-    BENCH_JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_rows(RESULTS)
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +320,7 @@ def test_parallel_worker_scaling(bench_scale):
     large-merged-graph config (the regime the ROADMAP flagged after PR 3:
     the per-step Python loop, not memory, is the bottleneck).
 
-    Every row lands in ``BENCH_throughput.json``.  The scaling bar —
+    Every row lands in ``.benchmarks/BENCH_throughput.json``.  The scaling bar —
     ≥ 1.2x samples/sec at 4 workers vs serial (the target is ≥ 1.5x; CI
     asserts 1.2x to absorb shared-runner noise) — is only asserted when the
     host actually has ≥ 4 CPUs; on fewer cores the workers time-share and

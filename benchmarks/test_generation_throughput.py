@@ -4,8 +4,9 @@ The dataset factory farms whole work units out to worker processes, so
 simulation-backed generation — the cost centre of any OMNeT++-style
 pipeline — should scale with the worker count.  This module runs one small
 simulation-backed job per worker count and lands a tracked
-``generation_events_per_sec`` row in ``BENCH_throughput.json``: simulator
-events processed, wall-clock events/sec and samples/sec per worker count.
+``generation_events_per_sec`` row in ``.benchmarks/BENCH_throughput.json``:
+simulator events processed, wall-clock events/sec and samples/sec per
+worker count.
 
 The worker-scaling bar (≥ 1.2x samples/sec at 4 workers over 1) is only
 asserted on hosts with at least 4 CPUs; on smaller hosts (the committed
@@ -13,15 +14,13 @@ baseline comes from a 1-CPU container) the figures are recorded and a note
 is printed instead — there is nothing to scale onto.
 
 The winning run's ``manifest.json`` — the provenance catalog — is copied to
-the repo root as ``BENCH_generation_catalog.json`` so CI archives exactly
+``.benchmarks/BENCH_generation_catalog.json`` so CI archives exactly
 which job, seed paths and configs produced the benchmarked samples.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import shutil
 import time
 
@@ -29,9 +28,6 @@ import pytest
 
 from repro.datasets.factory import DatasetJobSpec, run_job
 
-BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
-CATALOG_COPY_PATH = (pathlib.Path(__file__).resolve().parents[1]
-                     / "BENCH_generation_catalog.json")
 
 SCALING_BAR = 1.2
 
@@ -39,21 +35,9 @@ RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(host_metadata):
-    """Merge this module's rows into the repo-root JSON (read-update-write,
-    like the other throughput benchmarks, so partial runs keep other rows)."""
+def _write_bench_json(write_bench_rows):
     yield
-    for key, row in RESULTS.items():
-        if isinstance(row, dict) and key != "unit":
-            row.setdefault("host", host_metadata)
-    merged: dict = {}
-    if BENCH_JSON_PATH.exists():
-        try:
-            merged = json.loads(BENCH_JSON_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(RESULTS)
-    BENCH_JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_rows(RESULTS)
 
 
 def _bench_spec() -> DatasetJobSpec:
@@ -67,7 +51,7 @@ def _bench_spec() -> DatasetJobSpec:
     )
 
 
-def test_generation_events_per_sec(tmp_path_factory):
+def test_generation_events_per_sec(tmp_path_factory, bench_results_dir):
     root = tmp_path_factory.mktemp("generation-bench")
     cpu_count = os.cpu_count() or 1
     worker_counts = [1, 2] + ([4] if cpu_count >= 4 else [])
@@ -97,7 +81,7 @@ def test_generation_events_per_sec(tmp_path_factory):
     # Archive the catalog that produced these figures (CI artifact).
     shutil.copyfile(
         os.path.join(str(root / f"workers{worker_counts[-1]}"), "manifest.json"),
-        CATALOG_COPY_PATH)
+        bench_results_dir / "BENCH_generation_catalog.json")
 
     print(f"\nfactory generation, 8 simulation-backed samples on ring:6")
     for workers in worker_counts:

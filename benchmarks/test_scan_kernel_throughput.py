@@ -15,8 +15,9 @@ format-2 gzipped-JSONL payload on a full sharded-store read pass — the
 decode work a :class:`~repro.datasets.prefetch.BatchPrefetcher` producer
 performs every streamed epoch.
 
-Every row lands in ``BENCH_throughput.json``.  The kernel row also carries
-a **soft regression check**: when the committed baseline already holds a
+Every row lands in ``.benchmarks/BENCH_throughput.json``.  The kernel row
+also carries a **soft regression check**: when the committed baseline (the
+repo-root ``BENCH_throughput.json``) already holds a
 ``scan_kernel_compiled_vs_stream`` row and this run's compiled samples/sec
 drops more than 10% below it, the drop is printed loudly (host metadata
 tells apples from oranges) but the run does not fail — absolute throughput
@@ -45,7 +46,8 @@ from repro.datasets.sharded import ShardedDatasetReader
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.topology import geant2_topology
 
-BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
+#: The committed baseline the soft regression check compares against.
+COMMITTED_BENCH_JSON = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
 
 DTYPE = "float64"
 SPEEDUP_BAR = 1.3
@@ -55,21 +57,9 @@ RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(host_metadata):
-    """Merge this module's rows into the repo-root JSON (read-update-write,
-    like the other throughput benchmarks, so partial runs keep other rows)."""
+def _write_bench_json(write_bench_rows):
     yield
-    for key, row in RESULTS.items():
-        if isinstance(row, dict) and key != "unit":
-            row.setdefault("host", host_metadata)
-    merged: dict = {}
-    if BENCH_JSON_PATH.exists():
-        try:
-            merged = json.loads(BENCH_JSON_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(RESULTS)
-    BENCH_JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_rows(RESULTS)
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +117,9 @@ def test_compiled_kernel_speedup(reference_batch, bench_scale):
     speedup = samples_per_sec["compiled"] / samples_per_sec["stream"]
 
     baseline = None
-    if BENCH_JSON_PATH.exists():
+    if COMMITTED_BENCH_JSON.exists():
         try:
-            committed = json.loads(BENCH_JSON_PATH.read_text())
+            committed = json.loads(COMMITTED_BENCH_JSON.read_text())
             baseline = (committed.get("scan_kernel_compiled_vs_stream", {})
                         .get("samples_per_sec", {}).get("compiled"))
         except (json.JSONDecodeError, OSError):

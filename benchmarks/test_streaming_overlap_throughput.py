@@ -3,7 +3,7 @@
 Two acceptance bars from the sharded-dataset / prefetch / overlap PR, both
 measured on the 1104-path large-merged-graph regime (GEANT2 scenarios at
 batch_size 2 — the configuration the streaming scan benchmark established)
-and recorded in ``BENCH_throughput.json``:
+and recorded in ``.benchmarks/BENCH_throughput.json``:
 
 * ``streaming_vs_inmemory`` — training straight from a sharded store
   through the :class:`~repro.datasets.prefetch.BatchPrefetcher` (small
@@ -25,7 +25,7 @@ and recorded in ``BENCH_throughput.json``:
   overhead being measured.  A pristine interpreter per fit makes the
   comparison order-independent.
 
-* ``overlap_broadcast`` — double-buffered parameter broadcast
+* ``overlap_broadcast`` — overlapped parameter broadcast
   (``TrainerConfig.overlap``) at 4 workers: the parent pipelines its
   optimiser step, epoch bookkeeping, validation pass and checkpoint write
   behind the workers' compute.  Final parameters must be **bit-identical**
@@ -36,10 +36,8 @@ and recorded in ``BENCH_throughput.json``:
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
-import pathlib
 import time
 import tracemalloc
 
@@ -55,8 +53,6 @@ from repro.datasets import (
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.topology import geant2_topology
 
-BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
-
 NUM_SAMPLES = 96        # streamed dataset size (96 scenarios ≈ 53k paths);
                         # long-enough fits that scheduler noise averages out
 BATCH_SIZE = 2          # 2 GEANT2 scenarios -> 1104-path merged batches
@@ -68,21 +64,9 @@ RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(host_metadata):
-    """Merge this module's rows into the repo-root JSON (read-update-write,
-    like the batched-training benchmark, so partial runs keep other rows)."""
+def _write_bench_json(write_bench_rows):
     yield
-    for key, row in RESULTS.items():
-        if isinstance(row, dict) and key != "unit":
-            row.setdefault("host", host_metadata)
-    merged: dict = {}
-    if BENCH_JSON_PATH.exists():
-        try:
-            merged = json.loads(BENCH_JSON_PATH.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(RESULTS)
-    BENCH_JSON_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    write_bench_rows(RESULTS)
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +204,7 @@ def test_streaming_vs_inmemory(fitted_normalizer, sharded_store, bench_scale):
 
 def test_overlap_broadcast(large_graph_samples, fitted_normalizer, bench_scale,
                            tmp_path):
-    """Double-buffered overlap at 4 workers: bit-identical parameters on any
+    """Overlapped broadcast at 4 workers: bit-identical parameters on any
     host; ≥ 1.1x samples/sec asserted when the host has ≥ 4 CPUs."""
     train = large_graph_samples[:12]
     val = large_graph_samples[12:16]

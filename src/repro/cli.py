@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "batches (path-weighted) computed on model "
                             "replicas; 1 keeps the serial loop")
     train.add_argument("--overlap", action="store_true",
-                       help="with --num-workers > 1: double-buffered parameter "
+                       help="with --num-workers > 1: overlapped parameter "
                             "broadcast — the parent submits the next group and "
                             "runs its optimiser/validation/checkpoint work "
                             "while the workers compute (bit-identical results)")

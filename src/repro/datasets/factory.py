@@ -17,9 +17,9 @@ seed-semantics difference from the legacy serial loop, which threads a
 single RNG through every sample.)
 
 **Execution** — :func:`run_job` executes the pending units, either
-in-process or on a farm of worker processes (the fork/spawn + pipe
-protocol of :mod:`repro.nn.parallel`).  Every worker runs whole units end
-to end and commits each as **one shard file** via
+in-process or on a :class:`~repro.supervision.Farm` of worker processes.
+Every worker runs whole units end to end and commits each as **one shard
+file** via
 :func:`repro.datasets.sharded.write_shard` (temp + ``os.replace``), so a
 killed run leaves only whole units on disk.
 
@@ -40,8 +40,8 @@ deterministic sample order regardless of worker count.
 :func:`run_job` and ``repro-net status`` prints :func:`job_status`.
 
 **Fault tolerance** — the farm is supervised (see :mod:`repro.supervision`):
-a worker that dies or hangs past its task timeout is reaped and respawned,
-and its unit is re-queued — safe because unit content is a pure function of
+a worker that dies or hangs past its task timeout is reaped and respawned
+by the farm, and its unit is re-queued — safe because unit content is a pure function of
 ``[job_seed, unit_index]``.  A unit that keeps failing is retried up to
 ``max_retries`` extra times (every execution counts into the catalog's
 per-unit ``attempts``) and then **quarantined**: its status and traceback
@@ -60,9 +60,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import multiprocessing as mp
 import os
-import pickle
 import shutil
 import time
 import traceback
@@ -81,12 +79,7 @@ from repro.datasets.sharded import (
     shard_extension,
     write_shard,
 )
-from repro.supervision import (
-    RestartBudget,
-    SupervisedWorker,
-    SupervisionPolicy,
-    WorkerDied,
-)
+from repro.supervision import Farm, Lost, Reply, SupervisionPolicy
 from repro.testing.faults import fault_point, log_execution
 from repro.topology.geant2 import geant2_topology
 from repro.topology.generators import (
@@ -589,175 +582,52 @@ def _release_commit_lock(path: str) -> None:
 # Execution layer
 # ---------------------------------------------------------------------- #
 
-def _factory_worker_main(conn, payload: bytes) -> None:
-    """Worker loop: re-derive the unit list from the pickled spec, then
-    execute whole units on request.
+class _UnitWorker:
+    """Executes units by index: the handler of every factory worker, and
+    the whole engine of an in-process run.
 
-    Protocol (parent → worker): ``("unit", index)`` or ``("close",)``;
-    replies ``("done", index, record)`` / ``("failed", index, traceback)``.
-    The worker writes its shard itself — only the small provenance record
-    travels back over the pipe.
+    It re-derives the unit list from the spec, so only the unit index
+    travels to a worker; the worker writes the unit's shard itself and
+    only the small provenance record travels back.  ``execute_unit`` is
+    looked up in this module at call time, so a patch of it made before
+    the workers start reaches them.
     """
-    try:
-        spec, path = pickle.loads(payload)
-        units = expand_units(spec)
-    except Exception:  # noqa: BLE001 - report instead of dying mute
-        conn.send(("error", traceback.format_exc()))
-        conn.close()
-        return
-    conn.send(("ready",))
-    try:
-        while True:
-            message = conn.recv()
-            if message[0] == "unit":
-                index = message[1]
-                try:
-                    record = execute_unit(spec, units[index], path)
-                    conn.send(("done", index, record))
-                except Exception:  # noqa: BLE001 - ship the traceback
-                    conn.send(("failed", index, traceback.format_exc()))
-            elif message[0] == "close":
-                break
-            else:
-                conn.send(("error", f"unknown message kind {message[0]!r}"))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
+
+    def __init__(self, rank: int, spec: DatasetJobSpec, path: str) -> None:
+        self.spec = spec
+        self.path = path
+        self.units = expand_units(spec)
+
+    def __call__(self, index: int) -> dict:
+        return execute_unit(self.spec, self.units[index], self.path)
+
+
+class _InProcess:
+    """The ``workers=1`` engine: a one-worker stand-in for a :class:`Farm`
+    that runs each unit in the calling process when it is waited on."""
+
+    size = 1
+
+    def __init__(self, spec: DatasetJobSpec, path: str) -> None:
+        self._execute = _UnitWorker(0, spec, path)
+        self._queued: List[int] = []
+
+    @property
+    def busy(self) -> bool:
+        return bool(self._queued)
+
+    def send(self, rank: int, index: int) -> None:
+        self._queued.append(index)
+
+    def wait(self) -> List[Reply]:
+        index = self._queued.pop(0)
         try:
-            conn.close()
-        except OSError:
-            pass
+            return [Reply(0, index, self._execute(index), None)]
+        except Exception:  # noqa: BLE001 - retry, then quarantine
+            return [Reply(0, index, None, traceback.format_exc())]
 
-
-def _run_units_parallel(spec: DatasetJobSpec, path: str, pending: List[int],
-                        states: Dict[int, dict], workers: int,
-                        commit: Callable[[], None],
-                        progress: Optional[Callable[[int, int, int], None]],
-                        start_method: Optional[str],
-                        policy: SupervisionPolicy,
-                        budget: RestartBudget,
-                        try_take: Callable[[int], bool],
-                        finish: Callable[[int], None],
-                        handle_failure: Callable[[int, str], bool]) -> None:
-    """Farm pending units out to supervised workers, dynamically scheduled.
-
-    Units are handed out one at a time as workers free up (units can have
-    very different costs — simulation duration and topology size are sweep
-    axes), and the manifest is committed after every completed unit so an
-    interrupted run keeps everything already finished.
-
-    Supervision: a worker that dies or blows its per-unit deadline is
-    reaped and respawned (spending ``budget``) and its unit goes through
-    ``handle_failure`` — re-queued at the front (the replacement's RNG
-    stream makes the rerun bit-identical) or quarantined once its retries
-    are spent.  ``try_take(index)`` is the dispatch gate (claim files +
-    adopted-progress check); ``finish(index)`` runs on success or
-    quarantine (claim release).
-    """
-    if start_method is None:
-        available = mp.get_all_start_methods()
-        start_method = "fork" if "fork" in available else "spawn"
-    context = mp.get_context(start_method)
-    payload = pickle.dumps((spec, path))
-    count = min(workers, len(pending))
-
-    def spawn(rank: int):
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(target=_factory_worker_main,
-                                  args=(child_conn, payload), daemon=True)
-        process.start()
-        child_conn.close()
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as error:
-            raise RuntimeError(
-                f"factory worker {rank} died during start-up "
-                f"({error!r})") from error
-        if reply[0] == "error":
-            raise RuntimeError(
-                f"factory worker {rank} failed to start:\n{reply[1]}")
-        return process, parent_conn
-
-    queue = list(pending)
-    done_count = 0
-    total = len(pending)
-    farm: List[SupervisedWorker] = []
-    #: rank -> (unit index, absolute deadline or None)
-    in_flight: Dict[int, Tuple[int, Optional[float]]] = {}
-
-    def dispatch(worker: SupervisedWorker) -> None:
-        """Hand the worker its next dispatchable unit, if any."""
-        while queue:
-            index = queue.pop(0)
-            if not try_take(index):
-                continue
-            while True:
-                try:
-                    worker.send(("unit", index))
-                    break
-                except WorkerDied as error:
-                    budget.spend(str(error))
-                    worker.respawn()
-            in_flight[worker.rank] = (index, policy.deadline())
-            return
-
-    def recover(rank: int, reason: str) -> None:
-        """Respawn a dead/hung worker; route its unit through retry."""
-        index, _ = in_flight.pop(rank)
-        budget.spend(reason)
-        farm[rank].respawn()  # reaps first — a hung process is killed
-        if handle_failure(index, reason):
-            queue.insert(0, index)  # retry promptly (claim is still held)
-        dispatch(farm[rank])
-
-    try:
-        farm = [SupervisedWorker(rank, spawn) for rank in range(count)]
-        for worker in farm:
-            dispatch(worker)
-        while in_flight:
-            by_conn = {farm[rank].conn: rank for rank in in_flight}
-            ready = mp.connection.wait(list(by_conn),
-                                       timeout=policy.poll_interval)
-            for conn in ready:
-                rank = by_conn[conn]
-                worker = farm[rank]
-                index, _ = in_flight[rank]
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError) as error:
-                    recover(rank, f"factory worker {rank} died while "
-                                  f"generating unit {index} ({error!r})")
-                    continue
-                in_flight.pop(rank)
-                kind = reply[0]
-                if kind == "done":
-                    _mark_done(states[reply[1]], reply[2])
-                    done_count += 1
-                    # Commit, then release the claim (see the serial path).
-                    commit()
-                    finish(reply[1])
-                    if progress is not None:
-                        progress(reply[1], done_count, total)
-                elif kind == "failed":
-                    if handle_failure(reply[1], reply[2]):
-                        queue.insert(0, reply[1])
-                else:
-                    raise RuntimeError(f"unexpected worker reply {kind!r}")
-                dispatch(worker)
-            now = time.monotonic()
-            for rank in list(in_flight):
-                index, deadline = in_flight[rank]
-                if farm[rank].is_dead():
-                    recover(rank, f"factory worker {rank} (exit code "
-                                  f"{farm[rank].process.exitcode}) died while "
-                                  f"generating unit {index}")
-                elif deadline is not None and now > deadline:
-                    recover(rank, f"factory worker {rank} exceeded the task "
-                                  f"timeout on unit {index} and is presumed "
-                                  "hung")
-    finally:
-        for worker in farm:
-            worker.close(farewell=("close",))
+    def close(self) -> None:
+        self._queued = []
 
 
 def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
@@ -765,7 +635,6 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
             progress: Optional[Callable[[int, int, int], None]] = None,
             fit_normalizer: bool = True,
             metadata: Optional[dict] = None,
-            start_method: Optional[str] = None,
             max_retries: int = 2,
             task_timeout: Optional[float] = None,
             max_restarts: Optional[int] = None,
@@ -905,41 +774,57 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
             raise ValueError("limit must be non-negative")
         pending = pending[:limit]
 
+    # One dynamic queue feeds either engine: units are handed out one at a
+    # time as workers free up (units can have very different costs —
+    # simulation duration and topology size are sweep axes), and the
+    # manifest is committed after every completed unit so an interrupted
+    # run keeps everything already finished.
+    queue = list(pending)
+    done_count = 0
+    engine = None
+
+    def dispatch(rank: int) -> None:
+        """Hand worker ``rank`` its next dispatchable unit, if any."""
+        while queue:
+            index = queue.pop(0)
+            if try_take(index):
+                engine.send(rank, index)
+                return
+
     try:
         # Commit the full unit plan up front so `status` sees pending units
         # (and an interrupted first run is already resumable).
         commit()
         if workers == 1:
-            units = expand_units(spec)
-            total = len(pending)
-            done_count = 0
-            queue = list(pending)
-            while queue:
-                index = queue.pop(0)
-                if not try_take(index):
-                    continue
-                try:
-                    record = execute_unit(spec, units[index], path)
-                except KeyboardInterrupt:
-                    raise
-                except Exception:  # noqa: BLE001 - retry, then quarantine
-                    if handle_failure(index, traceback.format_exc()):
-                        queue.insert(0, index)
-                    continue
-                _mark_done(states[index], record)
-                done_count += 1
-                # Commit before releasing the claim: once the claim is gone
-                # a concurrent resume may take the unit, and only the
-                # committed manifest tells it the work is already done.
-                commit()
-                finish(index)
-                if progress is not None:
-                    progress(index, done_count, total)
+            engine = _InProcess(spec, path)
         else:
-            _run_units_parallel(spec, path, pending, states, workers, commit,
-                                progress, start_method, policy,
-                                RestartBudget(policy.max_restarts),
-                                try_take, finish, handle_failure)
+            engine = Farm(min(workers, len(pending)), _UnitWorker, (spec, path),
+                          policy, label="factory worker")
+        for rank in range(engine.size):
+            dispatch(rank)
+        while engine.busy:
+            for event in engine.wait():
+                if isinstance(event, Lost):
+                    # A lost worker was generating exactly one unit; its
+                    # replacement reruns it bit-identically (the unit's RNG
+                    # stream depends only on its index).
+                    (index,) = event.messages
+                    error = f"{event.reason} (generating unit {index})"
+                else:
+                    index, error = event.message, event.error
+                if error is None:
+                    _mark_done(states[index], event.value)
+                    done_count += 1
+                    # Commit before releasing the claim: once the claim is
+                    # gone a concurrent resume may take the unit, and only
+                    # the committed manifest tells it the work is done.
+                    commit()
+                    finish(index)
+                    if progress is not None:
+                        progress(index, done_count, len(pending))
+                elif handle_failure(index, error):
+                    queue.insert(0, index)  # retry promptly (claim still held)
+                dispatch(event.rank)
     except BaseException:
         # Unrecoverable (restart budget, spawn failure, interrupt): flush
         # what finished so the crashed run resumes from its last commit.
@@ -949,6 +834,8 @@ def run_job(spec: DatasetJobSpec, path: str, workers: int = 1,
             pass
         raise
     finally:
+        if engine is not None:
+            engine.close()
         for index in list(held_claims):
             finish(index)
 

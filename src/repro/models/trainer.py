@@ -86,15 +86,15 @@ class TrainerConfig:
     backend — a worker exceeding it is presumed hung, killed and
     respawned; ``None`` (default) disables the bound.
 
-    ``overlap`` (with ``num_workers > 1``) turns on double-buffered
-    pipelining: after the optimiser step for group ``k`` the parent
-    immediately broadcasts the updated parameters and puts group ``k+1`` on
-    the workers, then does its own bookkeeping — loss accounting, and at
-    epoch boundaries the validation pass and the checkpoint write — while
-    the workers compute.  Overlap changes *when* the parent works, never
-    *what* is computed: every broadcast carries fully-updated parameters,
-    so overlapped and non-overlapped runs (and the ``serial`` twin) produce
-    bit-identical parameter trajectories.  Ignored when ``num_workers == 1``.
+    ``overlap`` (with ``num_workers > 1``) turns on pipelining: after the
+    optimiser step for group ``k`` the parent immediately broadcasts the
+    updated parameters and puts group ``k+1`` on the workers, then does
+    its own bookkeeping — loss accounting, and at epoch boundaries the
+    validation pass and the checkpoint write — while the workers compute.
+    Overlap changes *when* the parent works, never *what* is computed:
+    every broadcast carries fully-updated parameters, so overlapped and
+    non-overlapped runs (and the ``serial`` twin) produce bit-identical
+    parameter trajectories.  Ignored when ``num_workers == 1``.
 
     ``prefetch_depth`` and ``stream_window`` shape the out-of-core path
     (``fit(dataset_path=...)`` over a sharded store): a background thread
@@ -388,11 +388,10 @@ class RouteNetTrainer:
         a multiprocessing worker pool, or its in-process serial twin — lives
         for the duration of this call.  ``config.overlap`` additionally
         pipelines the groups: the parent submits group ``k+1`` the moment
-        its optimiser step for group ``k`` is done (double-buffered
-        parameter broadcast), and at epoch boundaries puts the next epoch's
-        first group on the workers *before* running validation and writing
-        the checkpoint — all without changing a single update (see
-        :class:`TrainerConfig`).
+        its optimiser step for group ``k`` is done, and at epoch boundaries
+        puts the next epoch's first group on the workers *before* running
+        validation and writing the checkpoint — all without changing a
+        single update (see :class:`TrainerConfig`).
 
         Every epoch records ``samples_per_sec`` and ``peak_live_batches``
         into the history, so streaming-vs-in-memory throughput and memory

@@ -25,22 +25,23 @@ the members: :class:`SerialGradientExecutor` executes the identical
 semantics in-process, and the equivalence tests hold the two engines to
 bit-identical parameter trajectories.
 
-Double-buffered parameter broadcast
------------------------------------
-Parameters travel through a shared-memory ring of **two** flat buffers
-allocated at pool start: per group the parent writes the current parameter
-vector into the next slot (one memcpy, instead of pickling the vector once
-per worker through a pipe) and each step message carries only the slot
-index plus a batch reference.  Two slots mean the broadcast for group
-``k+1`` never overwrites the buffer group ``k`` was read from, so the
-parent may publish new parameters the moment its optimiser step finishes —
-the mechanism behind the trainer's ``overlap`` mode, where the parent
-submits the next group (:meth:`GradientWorkerPool.submit_group`) and only
-then does its per-epoch bookkeeping, validation pass and checkpoint write
-while the workers are already computing (:meth:`collect_group` picks the
-results up later).  Overlap never changes *what* is computed — submitted
-parameters are always the fully-updated post-step vector — so overlapped
-and non-overlapped runs are bit-identical.
+Shared-memory parameter broadcast
+---------------------------------
+Parameters travel through one flat buffer in shared memory allocated at
+pool start: per group the parent writes the current parameter vector into
+it (one memcpy, instead of pickling the vector once per worker through a
+pipe) and each step message carries only a batch reference.  The parent
+publishes only while no group is in flight, and a group counts as in
+flight until every one of its replies is in, so no worker ever reads the
+buffer while it is rewritten.  That is enough for the trainer's
+``overlap`` mode, where the parent submits the next group
+(:meth:`GradientWorkerPool.submit_group`) the moment its optimiser step
+finishes and only then does its per-epoch bookkeeping, validation pass and
+checkpoint write while the workers are already computing
+(:meth:`collect_group` picks the results up later).  Overlap never changes
+*what* is computed — submitted parameters are always the fully-updated
+post-step vector — so overlapped and non-overlapped runs are
+bit-identical.
 
 Batches reach workers one of two ways: :meth:`set_batches` uploads a list
 once and steps reference batches by index (the in-memory trainer, whose
@@ -50,26 +51,24 @@ messages (the streaming trainer, whose batches exist only transiently).
 
 Fault tolerance
 ---------------
-The pool supervises its workers (see :mod:`repro.supervision`): a worker
-that dies or exceeds its per-task timeout is reaped and an identical
-replacement is spawned from the same pickled payload and shared parameter
-ring, the batch cache is re-uploaded, and every message the dead worker
-had not answered is re-sent in order.  Because the parameter slot an
-in-flight group reads from is never overwritten while that group is
-uncollected (the ring has two slots and at most one group is in flight),
-the replacement recomputes exactly the same gradients — a recovered run
-is **bit-identical** to a fault-free one.  Respawns draw on a bounded
-restart budget so a crash-looping farm fails loudly instead of spinning.
-Ordinary in-task exceptions are *not* retried: they re-raise the worker's
-traceback in the parent, exactly as before (a deterministic Python error
-would only fail again).
+The workers run on a :class:`repro.supervision.Farm`: a worker that dies
+or exceeds its per-task timeout is reaped and an identical replacement is
+spawned from the same pickled payload and shared parameter buffer; the
+pool then re-uploads its batch cache and re-sends, in order, every message
+the lost worker had not answered.  The parameters are not rewritten while
+those messages are outstanding, so the replacement recomputes exactly the
+same gradients — a recovered run is **bit-identical** to a fault-free one.
+Respawns draw on a bounded restart budget so a crash-looping farm fails
+loudly instead of spinning.  Ordinary in-task exceptions are *not*
+retried: once the rest of the group is in, they re-raise the worker's
+traceback in the parent (a deterministic Python error would only fail
+again), and the pool keeps serving.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
-import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,13 +76,7 @@ import numpy as np
 from repro.nn.losses import huber_loss, mse_loss
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
-from repro.supervision import (
-    RestartBudget,
-    SupervisedWorker,
-    SupervisionPolicy,
-    WorkerDied,
-    WorkerTimedOut,
-)
+from repro.supervision import Farm, Lost, SupervisionPolicy
 from repro.testing.faults import fault_point
 
 __all__ = [
@@ -147,68 +140,40 @@ def _replicate(model: Module) -> Module:
     return pickle.loads(pickle.dumps(model))
 
 
-def _worker_main(conn, rank: int, payload: bytes, param_buffer,
-                 param_dtype: str, param_count: int) -> None:
-    """Worker process loop: cache batches, answer gradient requests.
+class _GradientWorker:
+    """Worker side of :class:`GradientWorkerPool`: a model replica that
+    answers the pool's messages.
 
-    Protocol (parent → worker):
-      ``("batches", [TensorizedSample, ...])``  replace the cached shard;
-      ``("step", slot, batch_index)``           read the parameters from
-                                                shared-memory ``slot``,
-                                                compute on a cached batch;
-      ``("step_payload", slot, batch)``         same, on a shipped batch;
-      ``("close",)``                            exit.
-    Replies: ``("ok", ...)`` or ``("error", traceback_string)``.
+    Messages:
+      ``("batches", [TensorizedSample, ...])``  replace the cached batches;
+      ``("step", position, batch_index)``       compute on a cached batch;
+      ``("step_payload", position, batch)``     compute on a shipped batch.
+    Steps read the parameters from the pool's shared-memory buffer and
+    answer ``(flat_gradient, loss, num_paths)``; ``position`` is the
+    member's place in its group, for the parent.
     """
-    try:
-        model, loss_name = pickle.loads(payload)
-    except Exception:  # noqa: BLE001 - report the failure instead of dying mute
-        conn.send(("error", traceback.format_exc()))
-        conn.close()
-        return
-    conn.send(("ok",))
-    item_size = np.dtype(param_dtype).itemsize
 
-    def load_params(slot: int) -> None:
-        # A read-only view into the shared slot; load_parameters_vector
-        # copies per parameter, so nothing in the model aliases the buffer
-        # once this returns (the parent is free to rewrite the other slot).
-        view = np.frombuffer(param_buffer, dtype=param_dtype, count=param_count,
-                             offset=slot * param_count * item_size)
-        model.load_parameters_vector(view)
+    def __init__(self, rank: int, payload: bytes, param_buffer,
+                 param_dtype: str, param_count: int) -> None:
+        self.rank = rank
+        self.model, self.loss_name = pickle.loads(payload)
+        self.params = np.frombuffer(param_buffer, dtype=param_dtype,
+                                    count=param_count)
+        self.batches: list = []
+        self.steps_handled = 0
 
-    batches: list = []
-    steps_handled = 0
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "batches":
-                batches = list(message[1])
-                conn.send(("ok", len(batches)))
-            elif kind in ("step", "step_payload"):
-                try:
-                    _, slot, work = message
-                    fault_point("pool.step.start", rank=rank,
-                                step=steps_handled)
-                    steps_handled += 1
-                    load_params(slot)
-                    batch = batches[work] if kind == "step" else work
-                    result = _compute_gradient(model, batch, loss_name)
-                    conn.send(("ok",) + result)
-                except Exception:  # noqa: BLE001 - ship the traceback to the parent
-                    conn.send(("error", traceback.format_exc()))
-            elif kind == "close":
-                break
-            else:
-                conn.send(("error", f"unknown message kind {kind!r}"))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+    def __call__(self, message: tuple):
+        if message[0] == "batches":
+            self.batches = list(message[1])
+            return len(self.batches)
+        kind, _, work = message
+        fault_point("pool.step.start", rank=self.rank, step=self.steps_handled)
+        self.steps_handled += 1
+        # load_parameters_vector copies per parameter, so nothing in the
+        # model aliases the shared buffer the parent rewrites next group.
+        self.model.load_parameters_vector(self.params)
+        batch = self.batches[work] if kind == "step" else work
+        return _compute_gradient(self.model, batch, self.loss_name)
 
 
 class _ExecutorBase:
@@ -217,8 +182,7 @@ class _ExecutorBase:
     Both engines expose the same two-phase interface: :meth:`submit_group`
     / :meth:`submit_group_payload` hand a group of work out (at most one
     group in flight), :meth:`collect_group` returns its results.  The
-    one-shot :meth:`run_group` / :meth:`run_group_payload` wrappers keep
-    the original synchronous call style.
+    one-shot :meth:`run_group` wrapper keeps the synchronous call style.
     """
 
     def __init__(self) -> None:
@@ -261,12 +225,6 @@ class _ExecutorBase:
                   indices: Sequence[int]) -> List[GradientResult]:
         """Synchronous submit + collect over cached-batch indices."""
         self.submit_group(flat_params, indices)
-        return self.collect_group()
-
-    def run_group_payload(self, flat_params: np.ndarray,
-                          batches: Sequence) -> List[GradientResult]:
-        """Synchronous submit + collect over shipped batches."""
-        self.submit_group_payload(flat_params, batches)
         return self.collect_group()
 
     def close(self) -> None:  # pragma: no cover - abstract
@@ -344,7 +302,9 @@ class GradientWorkerPool(_ExecutorBase):
     parameter publish plus one small step message per member, and one flat
     gradient back per member.  Workers cache an uploaded batch list (steps
     reference indices into it), or receive streaming batches inline via
-    :meth:`submit_group_payload`.
+    :meth:`submit_group_payload`.  The workers run on a
+    :class:`~repro.supervision.Farm`, which replaces a dead or hung worker;
+    the pool then re-uploads its batch cache and re-sends what was lost.
 
     Parameters
     ----------
@@ -355,210 +315,90 @@ class GradientWorkerPool(_ExecutorBase):
         Number of worker processes (≥ 1).
     loss:
         ``"mse"`` or ``"huber"`` — must match the trainer's loss.
-    start_method:
-        ``multiprocessing`` start method; default ``"fork"`` where available
-        (near-instant worker start) falling back to ``"spawn"``.
-    supervision:
-        The fault-tolerance policy (see the module docstring).  ``None``
-        uses the defaults: no task timeout, a restart budget of 8.
     task_timeout:
-        Convenience override for ``supervision.task_timeout`` — seconds one
-        gradient task may run before its worker is presumed hung, killed
-        and respawned.  ``None`` (default) disables the timeout.
+        Seconds one gradient task may run before its worker is presumed
+        hung, killed and respawned.  ``None`` (default) disables the
+        timeout.
     """
 
     def __init__(self, model: Module, num_workers: int = 1, loss: str = "mse",
-                 start_method: Optional[str] = None,
-                 supervision: Optional[SupervisionPolicy] = None,
                  task_timeout: Optional[float] = None) -> None:
         super().__init__()
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         self.num_workers = num_workers
-        if supervision is None:
-            supervision = SupervisionPolicy()
-        if task_timeout is not None:
-            supervision = SupervisionPolicy(
-                task_timeout=task_timeout,
-                max_retries=supervision.max_retries,
-                max_restarts=supervision.max_restarts,
-                poll_interval=supervision.poll_interval)
-        self.supervision = supervision
-        self._restart_budget = RestartBudget(supervision.max_restarts)
-        if start_method is None:
-            available = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self._context = mp.get_context(start_method)
-        self._payload = pickle.dumps((model, loss))
-        # The double-buffered broadcast ring: two flat parameter slots in
-        # shared memory, written alternately (see the module docstring).
+        # The broadcast buffer: one flat parameter vector in shared memory,
+        # rewritten only while no group is in flight (see the module
+        # docstring).
         template = model.parameters_vector()
         self._param_dtype = template.dtype
         self._param_count = int(template.size)
-        slot_bytes = max(1, self._param_count * self._param_dtype.itemsize)
-        self._param_buffer = self._context.RawArray("b", 2 * slot_bytes)
-        self._next_slot = 0
-        #: Messages sent to each worker whose reply has not yet arrived,
-        #: in send order — exactly what must be re-dispatched after a
-        #: respawn ("batches" uploads are re-sent from _last_batches
-        #: instead, so they are not tracked here).
-        self._outstanding: Dict[int, List[tuple]] = {}
-        self._last_batches: Optional[list] = None
-        self._workers: List[SupervisedWorker] = []
-        try:
-            # Start-up failures propagate (the trainer degrades to the
-            # serial backend); the restart budget only covers later faults.
-            self._workers = [SupervisedWorker(rank, self._spawn_worker)
-                             for rank in range(num_workers)]
-            self._outstanding = {rank: [] for rank in range(num_workers)}
-        except BaseException:
-            self.close()
-            raise
+        self._param_buffer = mp.RawArray(
+            "b", max(1, self._param_count * self._param_dtype.itemsize))
+        self._batches: Optional[list] = None
+        # Start-up failures propagate (the trainer degrades to the serial
+        # backend); the restart budget only covers later faults.
+        self._farm = Farm(
+            num_workers, _GradientWorker,
+            (pickle.dumps((model, loss)), self._param_buffer,
+             self._param_dtype.str, self._param_count),
+            SupervisionPolicy(task_timeout=task_timeout),
+            label="gradient worker")
 
     # ------------------------------------------------------------------ #
-    def _spawn_worker(self, rank: int):
-        """Start worker ``rank`` and complete its ready handshake."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_worker_main,
-            args=(child_conn, rank, self._payload, self._param_buffer,
-                  self._param_dtype.str, self._param_count),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        try:
-            reply = parent_conn.recv()
-        except (EOFError, OSError) as error:
-            raise RuntimeError(
-                f"gradient worker {rank} died during start-up "
-                f"({error!r})") from error
-        if reply[0] == "error":
-            raise RuntimeError(
-                f"gradient worker {rank} failed to start:\n{reply[1]}")
-        return process, parent_conn
+    def _drain(self) -> Dict[int, GradientResult]:
+        """Wait until every sent message is answered; return the step
+        results by group position.
 
-    def _recover(self, rank: int, reason: str) -> None:
-        """Replace a dead/hung worker and re-dispatch its unanswered work.
-
-        The replacement is started from the same pickled payload and the
-        same shared parameter ring; the batch cache is re-uploaded and the
-        rank's outstanding messages are re-sent in their original order —
-        and since the ring slot those messages reference is never rewritten
-        while their group is in flight, the recomputed gradients are
-        bit-identical to what the dead worker would have produced.
+        A lost worker's replacement gets the batch cache again and then
+        the lost steps.  An in-task error is raised only once every reply
+        is in, so no reply is left queued to be taken for the next group's.
         """
-        worker = self._workers[rank]
-        while True:
-            self._restart_budget.spend(reason)
-            worker.respawn()
-            try:
-                if self._last_batches is not None:
-                    worker.send(("batches", self._last_batches))
-                    reply = worker.recv_within(
-                        self.supervision.deadline(),
-                        self.supervision.poll_interval)
-                    if reply[0] == "error":  # pragma: no cover - upload bug
-                        raise RuntimeError(
-                            f"gradient worker {rank} rejected its batch "
-                            f"re-upload after a respawn:\n{reply[1]}")
-                for message in self._outstanding[rank]:
-                    worker.send(message)
-                return
-            except (WorkerDied, WorkerTimedOut) as error:
-                reason = f"respawned worker {rank} failed again: {error}"
+        results: Dict[int, GradientResult] = {}
+        failure = None
+        while self._farm.busy:
+            for event in self._farm.wait():
+                if isinstance(event, Lost):
+                    if self._batches is not None:
+                        self._farm.send(event.rank, ("batches", self._batches))
+                    for message in event.messages:
+                        if message[0] != "batches":
+                            self._farm.send(event.rank, message)
+                elif event.error is not None:
+                    if failure is None:
+                        failure = f"gradient worker {event.rank} failed:\n{event.error}"
+                elif event.message[0] != "batches":
+                    results[event.message[1]] = event.value
+        if failure is not None:
+            raise RuntimeError(failure)
+        return results
 
-    def _expect_ok(self, rank: int, tasks_queued: int = 1):
-        """Receive one reply from ``rank``, recovering from farm faults.
-
-        Returns the worker's ``("ok", ...)`` tuple; an in-task ``("error",
-        traceback)`` reply raises (deterministic failures are not retried).
-        Worker death or a task timeout triggers :meth:`_recover` and the
-        receive is retried against the replacement.
-        """
-        while True:
-            worker = self._workers[rank]
-            try:
-                reply = worker.recv_within(
-                    self.supervision.deadline(tasks_queued),
-                    self.supervision.poll_interval)
-            except (WorkerDied, WorkerTimedOut) as error:
-                self._recover(rank, str(error))
-                continue
-            if self._outstanding[rank]:
-                self._outstanding[rank].pop(0)
-            if reply[0] == "error":
-                raise RuntimeError(
-                    f"gradient worker {rank} failed:\n{reply[1]}")
-            if reply[0] != "ok":  # pragma: no cover - protocol violation
-                raise RuntimeError(
-                    f"unexpected reply from worker {rank}: {reply[0]!r}")
-            return reply
-
-    def _send_tracked(self, rank: int, message: tuple) -> None:
-        """Send a step message, recovering if the worker is already dead."""
-        while True:
-            try:
-                self._workers[rank].send(message)
-            except WorkerDied as error:
-                self._recover(rank, str(error))
-                continue
-            self._outstanding[rank].append(message)
-            return
-
-    # ------------------------------------------------------------------ #
     def set_batches(self, batches: Sequence) -> None:
         """Broadcast the batch list to every worker (replacing its cache)."""
-        self._last_batches = list(batches)
-        acknowledged = set()
+        self._check_idle()
+        self._batches = list(batches)
         for rank in range(self.num_workers):
-            try:
-                self._workers[rank].send(("batches", self._last_batches))
-            except WorkerDied as error:
-                # Recovery re-uploads the cache and consumes the ack itself.
-                self._recover(rank, str(error))
-                acknowledged.add(rank)
-        for rank in range(self.num_workers):
-            if rank in acknowledged:
-                continue
-            worker = self._workers[rank]
-            try:
-                reply = worker.recv_within(self.supervision.deadline(),
-                                           self.supervision.poll_interval)
-            except (WorkerDied, WorkerTimedOut) as error:
-                self._recover(rank, str(error))
-                continue
-            if reply[0] == "error":  # pragma: no cover - upload bug
-                raise RuntimeError(
-                    f"gradient worker {rank} rejected its batch upload:\n"
-                    f"{reply[1]}")
+            self._farm.send(rank, ("batches", self._batches))
+        self._drain()
 
-    def _publish_params(self, flat_params: np.ndarray) -> int:
-        """Write the parameter vector into the next ring slot; return it."""
+    def _submit(self, flat_params: np.ndarray, kind: str, members: list) -> None:
+        self._check_idle()
         flat = np.asarray(flat_params, dtype=self._param_dtype).reshape(-1)
         if flat.size != self._param_count:
             raise ValueError(
                 f"expected a flat vector of {self._param_count} parameters, "
                 f"got {flat.size}")
-        slot = self._next_slot
-        self._next_slot = 1 - slot
-        view = np.frombuffer(self._param_buffer, dtype=self._param_dtype,
-                             count=self._param_count,
-                             offset=slot * self._param_count * self._param_dtype.itemsize)
-        view[:] = flat
-        return slot
-
-    def _submit(self, flat_params: np.ndarray, kind: str, members: list) -> None:
-        self._check_idle()
-        slot = self._publish_params(flat_params)
+        np.frombuffer(self._param_buffer, dtype=self._param_dtype,
+                      count=self._param_count)[:] = flat
         for position, member in enumerate(members):
-            self._send_tracked(position % self.num_workers, (kind, slot, member))
+            self._farm.send(position % self.num_workers, (kind, position, member))
         self._in_flight = len(members)
 
     def submit_group(self, flat_params: np.ndarray,
                      indices: Sequence[int]) -> None:
         """Dispatch a group of cached-batch indices (round-robin) and return
         immediately; :meth:`collect_group` gathers the gradients.  The
-        parameters are published to the shared ring *now*, so the caller may
+        parameters are published to shared memory *now*, so the caller may
         keep mutating its own model afterwards."""
         self._submit(flat_params, "step", [int(i) for i in indices])
 
@@ -577,28 +417,17 @@ class GradientWorkerPool(_ExecutorBase):
             raise RuntimeError("no group in flight")
         count = self._in_flight
         self._in_flight = None
-        results: List[GradientResult] = []
-        for position in range(count):
-            rank = position % self.num_workers
-            # The rank's whole unanswered backlog shares one deadline — the
-            # reply being waited on may legitimately be queued behind the
-            # rank's other still-outstanding tasks.
-            reply = self._expect_ok(
-                rank, tasks_queued=max(1, len(self._outstanding[rank])))
-            results.append((reply[1], reply[2], reply[3]))
-        return results
+        results = self._drain()
+        return [results[position] for position in range(count)]
 
     @property
     def restarts(self) -> int:
         """Total worker respawns this pool has performed (telemetry)."""
-        return self._restart_budget.spent
+        return self._farm.restarts
 
     def close(self) -> None:
         """Shut the workers down (best effort, safe to call repeatedly)."""
-        for worker in self._workers:
-            worker.close(farewell=("close",))
-        self._workers = []
-        self._outstanding = {}
+        self._farm.close()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown path
         try:
@@ -609,7 +438,6 @@ class GradientWorkerPool(_ExecutorBase):
 
 def make_gradient_executor(model: Module, num_workers: int, loss: str = "mse",
                            backend: str = "process",
-                           start_method: Optional[str] = None,
                            task_timeout: Optional[float] = None):
     """Build the gradient execution engine for data-parallel training.
 
@@ -622,7 +450,6 @@ def make_gradient_executor(model: Module, num_workers: int, loss: str = "mse",
     """
     if backend == "process":
         return GradientWorkerPool(model, num_workers, loss=loss,
-                                  start_method=start_method,
                                   task_timeout=task_timeout)
     if backend == "serial":
         return SerialGradientExecutor(model, num_workers, loss=loss)

@@ -1,42 +1,14 @@
-"""Generic training loop with history, callbacks and early stopping.
+"""Training history and early stopping.
 
-The :class:`Trainer` here is model-agnostic: it iterates over an arbitrary
-iterable of training items, calls a user-supplied ``loss_fn(model, item)``
-that returns a scalar :class:`~repro.nn.tensor.Tensor`, back-propagates and
-steps the optimiser.  :mod:`repro.models.trainer` builds the RouteNet-specific
-loop on top of it.
+:class:`repro.models.trainer.RouteNetTrainer` records every epoch in a
+:class:`History` and stops on an :class:`EarlyStopping` criterion.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.nn.module import Module
-from repro.nn.optimizers import Optimizer, clip_gradients_by_norm
-from repro.nn.tensor import Tensor
-
-__all__ = ["TrainingConfig", "History", "EarlyStopping", "Trainer"]
-
-
-@dataclasses.dataclass
-class TrainingConfig:
-    """Hyper-parameters of the generic training loop."""
-
-    epochs: int = 10
-    shuffle: bool = True
-    gradient_clip_norm: float = 0.0
-    log_every: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.gradient_clip_norm < 0:
-            raise ValueError("gradient_clip_norm must be non-negative")
+__all__ = ["History", "EarlyStopping"]
 
 
 class History:
@@ -113,110 +85,3 @@ class EarlyStopping:
             self.stopped_epoch = epoch
             return True
         return False
-
-
-class Trainer:
-    """Minimal but complete training loop.
-
-    Parameters
-    ----------
-    model:
-        The module being optimised.
-    optimizer:
-        Any :class:`repro.nn.optimizers.Optimizer` over ``model.parameters()``.
-    loss_fn:
-        Callable ``loss_fn(model, item) -> Tensor`` returning a scalar loss for
-        one training item (one sample, or one mini-batch — the trainer does
-        not care).
-    config:
-        :class:`TrainingConfig` instance.
-    """
-
-    def __init__(
-        self,
-        model: Module,
-        optimizer: Optimizer,
-        loss_fn: Callable[[Module, object], Tensor],
-        config: Optional[TrainingConfig] = None,
-    ) -> None:
-        self.model = model
-        self.optimizer = optimizer
-        self.loss_fn = loss_fn
-        self.config = config if config is not None else TrainingConfig()
-        self.history = History()
-        self._rng = np.random.default_rng(self.config.seed)
-
-    # ------------------------------------------------------------------ #
-    def train_step(self, item) -> float:
-        """Run one optimisation step on a single item and return its loss."""
-        self.model.train()
-        self.optimizer.zero_grad()
-        loss = self.loss_fn(self.model, item)
-        if not isinstance(loss, Tensor):
-            raise TypeError("loss_fn must return a Tensor")
-        loss.backward()
-        if self.config.gradient_clip_norm > 0:
-            clip_gradients_by_norm(self.model.parameters(), self.config.gradient_clip_norm)
-        self.optimizer.step()
-        return float(loss.item())
-
-    def evaluate(self, items: Sequence) -> float:
-        """Average loss over ``items`` without updating parameters.
-
-        The model's train/eval mode is restored to whatever it was before
-        the call (evaluating an eval-mode model must not flip it back to
-        training mode behind the caller's back).
-        """
-        was_training = self.model.training
-        self.model.eval()
-        losses = []
-        from repro.nn.tensor import no_grad
-
-        try:
-            with no_grad():
-                for item in items:
-                    losses.append(float(self.loss_fn(self.model, item).item()))
-        finally:
-            self.model.train(was_training)
-        if not losses:
-            raise ValueError("evaluate() requires at least one item")
-        return float(np.mean(losses))
-
-    def fit(
-        self,
-        train_items: Sequence,
-        val_items: Optional[Sequence] = None,
-        early_stopping: Optional[EarlyStopping] = None,
-        callbacks: Optional[Iterable[Callable[[int, History], None]]] = None,
-    ) -> History:
-        """Train for ``config.epochs`` epochs (or until early stopping fires)."""
-        train_items = list(train_items)
-        if not train_items:
-            raise ValueError("fit() requires at least one training item")
-        callbacks = list(callbacks) if callbacks else []
-
-        for epoch in range(1, self.config.epochs + 1):
-            start = time.perf_counter()
-            order = np.arange(len(train_items))
-            if self.config.shuffle:
-                self._rng.shuffle(order)
-            epoch_losses = [self.train_step(train_items[i]) for i in order]
-            train_loss = float(np.mean(epoch_losses))
-            val_loss = self.evaluate(val_items) if val_items else None
-            seconds = time.perf_counter() - start
-            self.history.record(epoch, train_loss, val_loss, seconds)
-
-            if self.config.log_every and epoch % self.config.log_every == 0:
-                message = f"epoch {epoch:3d}  train={train_loss:.5f}"
-                if val_loss is not None:
-                    message += f"  val={val_loss:.5f}"
-                print(message)
-
-            for callback in callbacks:
-                callback(epoch, self.history)
-
-            if early_stopping is not None:
-                monitored = val_loss if val_loss is not None else train_loss
-                if early_stopping.update(monitored, epoch):
-                    break
-        return self.history

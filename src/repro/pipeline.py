@@ -105,8 +105,8 @@ def run_fig2_experiment(
     optimisation step path-weight-averages the gradients of up to that many
     batches computed concurrently on worker-process model replicas;
     ``overlap`` additionally pipelines the parent's optimiser step and
-    bookkeeping with the next group's worker compute (double-buffered
-    parameter broadcast, bit-identical results).
+    bookkeeping with the next group's worker compute (bit-identical
+    results).
     """
     train_topology = train_topology if train_topology is not None else geant2_topology()
     generalization_topology = (generalization_topology if generalization_topology is not None

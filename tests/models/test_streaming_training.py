@@ -7,7 +7,7 @@ covering the dataset, a streamed epoch builds exactly the batches the
 in-memory trainer pre-merges and visits them in the same RNG order, so the
 parameter trajectories are **bit-identical** — in both RNN scan modes, under
 both parallel backends and at any prefetch depth.  The same contract holds
-for ``overlap`` mode: double-buffered broadcast pipelines the parent's
+for ``overlap`` mode: the overlapped broadcast pipelines the parent's
 bookkeeping with worker compute but never changes a single update.
 """
 

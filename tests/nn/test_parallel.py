@@ -151,6 +151,25 @@ class TestExecutors:
             results = pool.run_group(model.parameters_vector(), [0])
             assert len(results) == 1
 
+    def test_failed_group_leaves_no_reply_for_the_next_group(self):
+        """Rank 0's error is raised only after rank 1's reply is in, so the
+        next group gets its own results, not the failed group's leftover."""
+        model = _toy_routenet()
+        batches = _toy_batches()
+        failed_params = model.parameters_vector()
+        params = failed_params * 0.9
+        with GradientWorkerPool(model, num_workers=2) as pool, \
+                SerialGradientExecutor(model, num_workers=2) as serial:
+            pool.set_batches(batches)
+            serial.set_batches(batches)
+            with pytest.raises(RuntimeError, match="IndexError"):
+                pool.run_group(failed_params, [42, 0])
+            pooled = pool.run_group(params, [0, 1])
+            direct = serial.run_group(params, [0, 1])
+        for (grad_p, loss_p, _), (grad_s, loss_s, _) in zip(pooled, direct):
+            assert np.array_equal(grad_p, grad_s)
+            assert loss_p == loss_s
+
     def test_close_is_idempotent(self):
         pool = GradientWorkerPool(_toy_routenet(), num_workers=1)
         pool.close()
