@@ -71,7 +71,11 @@ class TrainerConfig:
     serial loop.  Note the group size is part of the update semantics: a
     ``num_workers=4`` run takes 4x fewer, smoother optimiser steps per
     epoch than a serial run over the same batches (exactly like increasing
-    the world size of distributed data-parallel training).
+    the world size of distributed data-parallel training).  The process
+    pool's parallelism is its workers, so each worker runs NumPy's
+    OpenBLAS on one thread (no setting; on a BLAS without the OpenBLAS
+    thread API the workers keep the library's default); the parent and
+    the ``serial`` backend keep NumPy's default.
 
     ``parallel_backend`` selects the execution engine for
     ``num_workers > 1``: ``"process"`` (default) runs a persistent

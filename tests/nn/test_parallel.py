@@ -1,8 +1,13 @@
 """Tests for flat parameter/gradient vectors and the gradient worker pool."""
 
+import ctypes
+import json
+import os
+
 import numpy as np
 import pytest
 
+from repro.nn import parallel
 from repro.nn.layers import MLP
 from repro.nn.losses import mse_loss
 from repro.nn.parallel import (
@@ -12,6 +17,7 @@ from repro.nn.parallel import (
     path_weighted_average,
 )
 from repro.nn.tensor import Tensor
+from repro.testing.faults import ENV_MARKER_DIR, ENV_PLAN
 
 
 def _make_model(seed: int = 7) -> MLP:
@@ -113,6 +119,29 @@ def _toy_routenet(seed: int = 5):
         message_passing_iterations=2, seed=seed))
 
 
+def _geant2_batches():
+    """Two 2-sample GEANT2 merged batches of 1104 paths each: the scan's
+    GEMMs there are large enough for OpenBLAS to run them on several
+    threads in the parent."""
+    from repro.datasets import DatasetConfig, generate_dataset
+    from repro.datasets.batching import make_batches
+    from repro.datasets.normalization import FeatureNormalizer
+    from repro.topology import geant2_topology
+
+    samples = generate_dataset(geant2_topology(),
+                               DatasetConfig(num_samples=4, seed=7,
+                                             small_queue_fraction=0.5))
+    normalizer = FeatureNormalizer().fit(samples)
+    return make_batches([normalizer.tensorize(s) for s in samples], 2)
+
+
+def _assert_same_results(pooled, direct):
+    for (grad_p, loss_p, paths_p), (grad_s, loss_s, paths_s) in zip(pooled, direct):
+        assert np.array_equal(grad_p, grad_s)
+        assert loss_p == loss_s
+        assert paths_p == paths_s
+
+
 class TestExecutors:
     def test_process_pool_matches_serial_gradients(self):
         model = _toy_routenet()
@@ -124,10 +153,27 @@ class TestExecutors:
             serial.set_batches(batches)
             pooled = pool.run_group(params, [0, 1])
             direct = serial.run_group(params, [0, 1])
-        for (grad_p, loss_p, paths_p), (grad_s, loss_s, paths_s) in zip(pooled, direct):
-            assert np.array_equal(grad_p, grad_s)
-            assert loss_p == loss_s
-            assert paths_p == paths_s
+        _assert_same_results(pooled, direct)
+
+    def test_process_pool_matches_serial_at_the_shipping_size(self):
+        """Workers compute on one BLAS thread, the serial executor on the
+        parent's default; at the shipping model size (state 16, 4
+        iterations, compiled scan) on 1104-path batches the gradients must
+        still agree bit for bit."""
+        from repro.models import ExtendedRouteNet, RouteNetConfig
+
+        batches = _geant2_batches()
+        assert [batch.num_paths for batch in batches] == [1104, 1104]
+        model = ExtendedRouteNet(RouteNetConfig(seed=5))
+        assert model.config.scan_mode == "compiled"
+        params = model.parameters_vector()
+        with GradientWorkerPool(model, num_workers=2) as pool, \
+                SerialGradientExecutor(model, num_workers=2) as serial:
+            pool.set_batches(batches)
+            serial.set_batches(batches)
+            pooled = pool.run_group(params, [0, 1])
+            direct = serial.run_group(params, [0, 1])
+        _assert_same_results(pooled, direct)
 
     def test_more_batches_than_workers_round_robins(self):
         model = _toy_routenet()
@@ -208,3 +254,99 @@ class TestExecutors:
             SerialGradientExecutor(_toy_routenet(), num_workers=0)
         with pytest.raises(ValueError):
             GradientWorkerPool(_toy_routenet(), num_workers=0)
+
+
+# ---------------------------------------------------------------------- #
+# BLAS threads in the gradient workers
+# ---------------------------------------------------------------------- #
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or ``None`` where NumPy's BLAS
+    has no OpenBLAS thread getter.  Looks the library up on its own rather
+    than through the pool's helper, so a broken helper cannot skip the
+    tests below."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_GETTERS:
+            getter = getattr(library, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def _report_blas_threads(model, batch, loss_name):
+    """Stand-in for ``_compute_gradient``: answers with the worker's BLAS
+    thread count in place of the loss."""
+    return np.zeros(1), _blas_threads(), int(batch.num_paths)
+
+
+_KILL_RANK0 = [{"site": "pool.step.start", "kind": "die",
+                "match": {"rank": 0, "step": 0}, "once": True,
+                "id": "kill-rank0"}]
+
+
+class TestWorkerBlasThreads:
+    @pytest.mark.parametrize("faults", [None, _KILL_RANK0],
+                             ids=["first-start", "respawned"])
+    def test_worker_computes_on_one_blas_thread(self, faults, tmp_path,
+                                                monkeypatch):
+        """Every worker, and a replacement respawned after a kill, runs
+        its gradient on one BLAS thread; the parent keeps its default."""
+        parent_threads = _blas_threads()
+        if parent_threads is None:
+            pytest.skip("NumPy's BLAS exports no OpenBLAS thread getter")
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("OpenBLAS already runs one thread on a 1-CPU host")
+        # Fork carries the stand-in into the workers, which look
+        # _compute_gradient up in their module at call time.
+        monkeypatch.setattr(parallel, "_compute_gradient", _report_blas_threads)
+        if faults is not None:
+            monkeypatch.setenv(ENV_PLAN, json.dumps(faults))
+            monkeypatch.setenv(ENV_MARKER_DIR, str(tmp_path / "markers"))
+        model = _toy_routenet()
+        with GradientWorkerPool(model, num_workers=2) as pool:
+            pool.set_batches(_toy_batches())
+            results = pool.run_group(model.parameters_vector(), [0, 1])
+            assert pool.restarts == (0 if faults is None else 1)
+        assert [threads for _, threads, _ in results] == [1, 1]
+        assert _blas_threads() == parent_threads
+
+    @pytest.mark.parametrize("lookup", ["library-fails-to-load", "no-thread-setter"])
+    def test_worker_without_blas_thread_control_still_serves(self, lookup,
+                                                             monkeypatch):
+        """Where the lookup finds no thread control, the worker still
+        starts and computes the serial executor's gradients."""
+        if lookup == "library-fails-to-load":
+            monkeypatch.setattr(parallel, "_openblas_paths",
+                                lambda: ["/nonexistent/libopenblas.so"])
+        else:
+            monkeypatch.setattr(parallel, "_OPENBLAS_SETTERS", ("no_such_symbol",))
+        model = _toy_routenet()
+        batches = _toy_batches()
+        params = model.parameters_vector()
+        with GradientWorkerPool(model, num_workers=2) as pool, \
+                SerialGradientExecutor(model, num_workers=2) as serial:
+            pool.set_batches(batches)
+            serial.set_batches(batches)
+            pooled = pool.run_group(params, [0, 1])
+            direct = serial.run_group(params, [0, 1])
+            assert pool.restarts == 0
+        _assert_same_results(pooled, direct)
