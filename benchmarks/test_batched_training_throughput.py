@@ -1,4 +1,4 @@
-"""Training throughput and peak memory vs batch size, dtype and scan mode.
+"""Training throughput and peak memory vs batch size, dtype and worker count.
 
 Mini-batching merges several scenarios into one disjoint-union graph per
 optimisation step (``repro.datasets.batching``), so the per-step Python and
@@ -15,11 +15,7 @@ memory-bound; the float32 stack (``dtype="float32"``), the fused masked
 update / gather-segment-sum autograd nodes and the per-backward gradient
 buffer pool attack exactly that regime, so this module also records
 tracemalloc peaks per batch size in both precisions and holds the fused ops
-against their unfused (seed) formulations.  Beyond ~10³ merged paths the
-*stacked* per-step RNN outputs themselves dominate peak memory; the
-streaming checkpointed scan (``scan_mode="stream"``) removes them, and
-``test_streaming_scan_large_graph`` holds it to ≤ 0.6x the stacked peak at
-≥ 0.9x the stacked throughput on a ≥1000-path merged batch.
+against their unfused (seed) formulations.
 
 Every figure measured here is also written to
 ``.benchmarks/BENCH_throughput.json`` (samples/sec and tracemalloc peaks
@@ -29,7 +25,6 @@ machine-readable across PRs.
 
 from __future__ import annotations
 
-import gc
 import os
 import time
 import tracemalloc
@@ -37,13 +32,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.datasets import (
-    DatasetConfig,
-    FeatureNormalizer,
-    generate_dataset,
-    tensorize_sample,
-)
-from repro.datasets.batching import merge_tensorized_samples
+from repro.datasets import DatasetConfig, generate_dataset
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.nn.tensor import get_default_dtype
 from repro.topology import geant2_topology, ring_topology
@@ -249,67 +238,6 @@ def test_fused_backward_allocates_less_than_seed_ops():
     # The pool must actually recycle buffers across steps: many reuses per
     # fresh allocation.
     assert pool["hits"] >= 5 * max(pool["misses"], 1)
-
-
-def _large_graph_step_stats(merged, bench_scale, scan_mode: str, dtype: str,
-                            repetitions: int = 3):
-    """(best step seconds, forward+backward tracemalloc peak) for one mode."""
-    model = ExtendedRouteNet(RouteNetConfig(
-        link_state_dim=bench_scale["state_dim"],
-        path_state_dim=bench_scale["state_dim"],
-        node_state_dim=bench_scale["state_dim"],
-        message_passing_iterations=bench_scale["iterations"],
-        seed=41, dtype=dtype, scan_mode=scan_mode))
-    trainer = RouteNetTrainer(model, TrainerConfig(epochs=1, dtype=dtype, seed=41))
-    trainer.train_step(merged)  # warm up the index / scan-plan caches
-    best = np.inf
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        trainer.train_step(merged)
-        best = min(best, time.perf_counter() - start)
-    gc.collect()
-    tracemalloc.start()
-    trainer.train_step(merged)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return best, peak
-
-
-def test_streaming_scan_large_graph(bench_scale):
-    """Tentpole acceptance: on a ≥1000-path merged batch the streaming
-    checkpointed scan must cut forward+backward peak tracemalloc to ≤ 0.6x
-    the stacked scan at equal dtype while keeping ≥ 0.9x its samples/sec
-    (the recompute overhead stays bounded)."""
-    dtype = "float64"
-    samples = generate_dataset(geant2_topology(),
-                               DatasetConfig(num_samples=2, seed=7,
-                                             small_queue_fraction=0.5))
-    normalizer = FeatureNormalizer().fit(samples)
-    merged = merge_tensorized_samples(
-        [tensorize_sample(s, normalizer, dtype=dtype) for s in samples])
-    assert merged.num_paths >= 1000
-
-    stats = {mode: _large_graph_step_stats(merged, bench_scale, mode, dtype)
-             for mode in ("stacked", "stream")}
-    peak_ratio = stats["stream"][1] / stats["stacked"][1]
-    # samples/sec ratio == inverse step-time ratio (same batch both modes).
-    speed_ratio = stats["stacked"][0] / stats["stream"][0]
-    RESULTS["large_graph_stream_vs_stacked"] = {
-        "num_paths": int(merged.num_paths), "dtype": dtype,
-        "samples_per_sec": {
-            mode: merged.num_merged_samples / stats[mode][0] for mode in stats},
-        "peak_bytes": {mode: stats[mode][1] for mode in stats},
-        "peak_ratio": peak_ratio, "speed_ratio": speed_ratio}
-
-    print(f"\nstreaming vs stacked scan at {merged.num_paths} merged paths ({dtype})")
-    for mode in ("stacked", "stream"):
-        step, peak = stats[mode]
-        print(f"  {mode:8s}: {step * 1e3:7.1f} ms/step   peak {peak / 1e6:8.2f} MB")
-    print(f"  ratios : peak {peak_ratio:.3f}x (bar ≤ 0.6), "
-          f"speed {speed_ratio:.3f}x (bar ≥ 0.9)")
-
-    assert peak_ratio <= 0.6
-    assert speed_ratio >= 0.9
 
 
 WORKER_COUNTS = (1, 2, 4)

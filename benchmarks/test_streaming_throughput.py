@@ -1,9 +1,8 @@
-"""Out-of-core training throughput: streamed epochs and overlapped broadcast.
+"""Out-of-core training throughput: streamed epochs vs the in-memory path.
 
-Two acceptance bars from the sharded-dataset / prefetch / overlap PR, both
-measured on the 1104-path large-merged-graph regime (GEANT2 scenarios at
-batch_size 2 — the configuration the streaming scan benchmark established)
-and recorded in ``.benchmarks/BENCH_throughput.json``:
+One acceptance bar from the sharded-dataset / prefetch PR, measured on the
+1104-path large-merged-graph regime (GEANT2 scenarios at batch_size 2) and
+recorded in ``.benchmarks/BENCH_throughput.json``:
 
 * ``streaming_vs_inmemory`` — training straight from a sharded store
   through the :class:`~repro.datasets.prefetch.BatchPrefetcher` (small
@@ -24,20 +23,11 @@ and recorded in ``.benchmarks/BENCH_throughput.json``:
   observed to swing the ratio by ±10% — far more than the ~3-5% pipeline
   overhead being measured.  A pristine interpreter per fit makes the
   comparison order-independent.
-
-* ``overlap_broadcast`` — overlapped parameter broadcast
-  (``TrainerConfig.overlap``) at 4 workers: the parent pipelines its
-  optimiser step, epoch bookkeeping, validation pass and checkpoint write
-  behind the workers' compute.  Final parameters must be **bit-identical**
-  to the non-overlapped run on every host; the ≥ 1.1x samples/sec bar is
-  asserted on hosts with ≥ 4 CPUs (fewer cores time-share the workers and
-  the ratio is recorded but not asserted).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 import tracemalloc
 
@@ -201,48 +191,3 @@ def test_streaming_vs_inmemory(fitted_normalizer, sharded_store, bench_scale):
     assert peak_ratio <= 0.5
     assert speed_ratio >= 0.8
 
-
-def test_overlap_broadcast(large_graph_samples, fitted_normalizer, bench_scale,
-                           tmp_path):
-    """Overlapped broadcast at 4 workers: bit-identical parameters on any
-    host; ≥ 1.1x samples/sec asserted when the host has ≥ 4 CPUs."""
-    train = large_graph_samples[:12]
-    val = large_graph_samples[12:16]
-    epochs = 2
-
-    def run_fit(overlap: bool):
-        trainer = _make_trainer(bench_scale, fitted_normalizer, epochs=epochs,
-                                num_workers=4, overlap=overlap)
-        checkpoint = str(tmp_path / f"ck-{overlap}")
-        start = time.perf_counter()
-        trainer.fit(train, val_samples=val, checkpoint_path=checkpoint)
-        elapsed = time.perf_counter() - start
-        return epochs * len(train) / elapsed, trainer.model.parameters_vector()
-
-    # Best-of-2 per arm for the timing; the parameter vectors are
-    # deterministic across repetitions, so any pair compares.
-    speed_plain, params_plain = run_fit(overlap=False)
-    speed_overlap, params_overlap = run_fit(overlap=True)
-    speed_plain = max(speed_plain, run_fit(overlap=False)[0])
-    speed_overlap = max(speed_overlap, run_fit(overlap=True)[0])
-    cpus = os.cpu_count() or 1
-    speedup = speed_overlap / speed_plain
-    RESULTS["overlap_broadcast"] = {
-        "num_workers": 4, "batch_size": BATCH_SIZE, "dtype": DTYPE,
-        "host_cpus": cpus, "epochs": epochs,
-        "with_validation_and_checkpoint": True,
-        "samples_per_sec": {"plain": speed_plain, "overlap": speed_overlap},
-        "speedup": speedup,
-        "bit_identical_parameters": bool(np.array_equal(params_plain,
-                                                        params_overlap))}
-
-    print(f"\noverlapped vs plain data-parallel training "
-          f"(4 workers, {cpus} CPUs, val + per-epoch checkpoint)")
-    print(f"  plain  : {speed_plain:7.2f} samples/s")
-    print(f"  overlap: {speed_overlap:7.2f} samples/s ({speedup:.3f}x, "
-          f"bar ≥ 1.1 on ≥4-CPU hosts)")
-
-    # Overlap must never change the computation, only its schedule.
-    assert np.array_equal(params_plain, params_overlap)
-    if cpus >= 4:
-        assert speedup >= 1.1

@@ -143,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="training precision: float32 roughly halves the "
                             "memory footprint of large-batch training "
                             "(default: float64)")
-    train.add_argument("--scan-mode", choices=["compiled", "stream", "stacked"],
-                       default="compiled",
-                       help="path-RNN formulation: 'compiled' (default) runs "
-                            "the streaming scan through precompiled "
-                            "per-topology step kernels (fastest); 'stream' is "
-                            "the interpreted streaming scan (same flat peak "
-                            "memory); 'stacked' materialises per-step outputs "
-                            "(the pre-streaming formulation)")
     train.add_argument("--bucket-by-length", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="group scenarios of similar path length per merged "
@@ -161,11 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "step averages the gradients of up to this many "
                             "batches (path-weighted) computed on model "
                             "replicas; 1 keeps the serial loop")
-    train.add_argument("--overlap", action="store_true",
-                       help="with --num-workers > 1: overlapped parameter "
-                            "broadcast — the parent submits the next group and "
-                            "runs its optimiser/validation/checkpoint work "
-                            "while the workers compute (bit-identical results)")
     train.add_argument("--task-timeout", type=float, default=None,
                        help="with --num-workers > 1: seconds a gradient worker "
                             "may spend on one task before it is presumed hung "
@@ -201,11 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--dtype", choices=["float32", "float64"], default=None,
                           help="inference precision (default: the dtype recorded "
                                "in the checkpoint metadata, float64 if absent)")
-    evaluate.add_argument("--scan-mode", choices=["compiled", "stream", "stacked"],
-                          default="compiled",
-                          help="path-RNN formulation for inference ('compiled' "
-                               "and 'stream' keep evaluation peak memory flat "
-                               "on large scenarios; 'compiled' is fastest)")
 
     fig2 = subparsers.add_parser("fig2", help="run the Fig. 2 experiment end to end")
     fig2.add_argument("--train-samples", type=int, default=40)
@@ -215,18 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scenarios merged into one optimisation step")
     fig2.add_argument("--dtype", choices=["float32", "float64"], default=None,
                       help="training/evaluation precision (default: float64)")
-    fig2.add_argument("--scan-mode", choices=["compiled", "stream", "stacked"],
-                      default="compiled",
-                      help="path-RNN formulation (see 'train --scan-mode')")
     fig2.add_argument("--bucket-by-length", action=argparse.BooleanOptionalAction,
                       default=True,
                       help="bucket scenarios of similar path length per batch")
     fig2.add_argument("--num-workers", type=int, default=1,
                       help="data-parallel worker processes per training run "
                            "(see 'train --num-workers')")
-    fig2.add_argument("--overlap", action="store_true",
-                      help="pipeline the optimiser step with the next group's "
-                           "worker compute (see 'train --overlap')")
     fig2.add_argument("--state-dim", type=int, default=16)
     fig2.add_argument("--seed", type=int, default=0)
 
@@ -316,11 +292,11 @@ def _command_status(args: argparse.Namespace) -> int:
 
 
 def _build_model(name: str, state_dim: int, iterations: int, seed: int = 0,
-                 dtype: Optional[str] = None, scan_mode: str = "compiled"):
+                 dtype: Optional[str] = None):
     config = RouteNetConfig(link_state_dim=state_dim, path_state_dim=state_dim,
                             node_state_dim=state_dim,
                             message_passing_iterations=iterations, seed=seed,
-                            dtype=dtype, scan_mode=scan_mode)
+                            dtype=dtype)
     return _MODELS[name](config)
 
 
@@ -338,13 +314,13 @@ def _command_train(args: argparse.Namespace) -> int:
         train_samples, val_samples, _ = train_val_test_split(samples, 0.8, 0.1,
                                                              seed=args.seed)
     model = _build_model(args.model, args.state_dim, args.iterations, args.seed,
-                         dtype=args.dtype, scan_mode=args.scan_mode)
+                         dtype=args.dtype)
     trainer = RouteNetTrainer(
         model,
         TrainerConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                       batch_size=args.batch_size, dtype=args.dtype,
                       bucket_by_length=args.bucket_by_length,
-                      num_workers=args.num_workers, overlap=args.overlap,
+                      num_workers=args.num_workers,
                       task_timeout=args.task_timeout,
                       prefetch_depth=args.prefetch_depth if streaming else 2,
                       seed=args.seed),
@@ -383,8 +359,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     samples, normalizer, _ = load_dataset(args.dataset)
     # Default the precision to whatever the checkpoint was trained at.
     dtype = args.dtype or read_checkpoint_metadata(args.weights).get("dtype")
-    model = _build_model(args.model, args.state_dim, args.iterations, dtype=dtype,
-                         scan_mode=args.scan_mode)
+    model = _build_model(args.model, args.state_dim, args.iterations, dtype=dtype)
     metadata = load_checkpoint(model, args.weights)
     if normalizer is None and "normalizer" in metadata:
         normalizer = FeatureNormalizer.from_dict(metadata["normalizer"])
@@ -408,10 +383,8 @@ def _command_fig2(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         state_dim=args.state_dim,
         dtype=args.dtype,
-        scan_mode=args.scan_mode,
         bucket_by_length=args.bucket_by_length,
         num_workers=args.num_workers,
-        overlap=args.overlap,
         seed=args.seed,
     )
     print(result.report())

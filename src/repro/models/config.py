@@ -37,16 +37,14 @@ class RouteNetConfig:
         :func:`repro.nn.tensor.set_default_dtype`).  float32 halves the
         memory footprint of the backward pass on large merged batches.
     scan_mode:
-        How the path RNN scans its sequences: ``"compiled"`` (default) runs
+        How the path RNN scans its sequences.  ``"compiled"`` (default) runs
         the streaming scan through precompiled per-(topology, bucket) step
-        kernels — the input projection hoisted out of the step loop, each
+        kernels: the input projection hoisted out of the step loop, each
         hop a fused raw-NumPy step over presorted index arrays, backward via
-        closed-form VJPs instead of a per-step tape; ``"stream"`` is the
+        closed-form VJPs instead of a per-step tape.  ``"stream"`` is the
         interpreted checkpointed streaming scan (same O(paths·dim) live
-        memory, per-step autograd subgraphs); ``"stacked"`` keeps the
-        original formulation that materialises the gathered sequence and the
-        stacked per-step outputs in the autograd graph (useful for gradcheck
-        cross-validation against the streaming paths).
+        memory, per-step autograd subgraphs); ``"compiled"`` falls back to
+        it for cells without a compiled kernel.
     seed:
         Seed for weight initialisation.
     """
@@ -69,6 +67,6 @@ class RouteNetConfig:
             raise ValueError("message_passing_iterations must be at least 1")
         if any(h < 1 for h in self.readout_hidden_sizes):
             raise ValueError("readout hidden sizes must be positive")
-        if self.scan_mode not in ("compiled", "stream", "stacked"):
-            raise ValueError("scan_mode must be 'compiled', 'stream' or 'stacked'")
+        if self.scan_mode not in ("compiled", "stream"):
+            raise ValueError("scan_mode must be 'compiled' or 'stream'")
         resolve_dtype(self.dtype)  # raises on anything but float32/float64/None

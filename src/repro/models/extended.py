@@ -34,10 +34,9 @@ from repro.models.message_passing import (
     initial_state,
 )
 from repro.models.readout import ReadoutMLP
-from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.nn.recurrent import GRUCell, run_rnn_over_sequence, scan_rnn
-from repro.nn.tensor import Tensor, default_dtype, gather_segment_sum, resolve_dtype
+from repro.nn.recurrent import GRUCell, scan_rnn
+from repro.nn.tensor import Tensor, default_dtype, resolve_dtype
 
 __all__ = ["ExtendedRouteNet"]
 
@@ -105,37 +104,18 @@ class ExtendedRouteNet(Module):
         link_states: Tensor,
         node_states: Tensor,
     ) -> Tuple[Tensor, Tensor, Tensor]:
-        if self.config.scan_mode in ("stream", "compiled"):
-            # Streaming checkpointed scan over the interleaved node/link
-            # sequence: even steps gather node states, odd steps link states,
-            # and only the odd (link) steps scatter their outputs into the
-            # per-link accumulators — the interleaved sequence and the
-            # stacked outputs never materialise.  "compiled" runs it through
-            # the plan's precompiled step-kernel spec.
-            plan = build_scan_plan(sample, index, interleaved=True)
-            compiled = plan.compiled() if self.config.scan_mode == "compiled" else None
-            link_messages, new_path_states = scan_rnn(
-                self.path_update, (node_states, link_states), plan.step_sources,
-                plan.step_rows, plan.mask, initial_state=path_states,
-                scatter=plan.scatter, compiled=compiled)
-        else:
-            # Stacked formulation over the gathered interleaved sequence.
-            sequence, mask = self._gather_interleaved_sequence(
-                sample, link_states, node_states)
-            outputs, new_path_states = run_rnn_over_sequence(
-                self.path_update, sequence, mask, initial_state=path_states)
-
-            # Link update: the message to a link is the RNN output right after
-            # reading that link (odd positions of the interleaved sequence).
-            # Fused gather + segment-sum keeps the (num_entries, dim) selection
-            # out of the autograd graph.
-            link_positions = index.entry_positions * 2 + 1
-            link_messages = gather_segment_sum(
-                outputs,
-                (index.entry_path_ids, link_positions),
-                index.entry_link_ids,
-                index.num_links,
-            )
+        # Streaming checkpointed scan over the interleaved node/link
+        # sequence: even steps gather node states, odd steps link states,
+        # and only the odd (link) steps scatter their outputs into the
+        # per-link accumulators, so the interleaved sequence and the stacked
+        # outputs never materialise.  "compiled" runs it through the plan's
+        # precompiled step-kernel spec.
+        plan = build_scan_plan(sample, index, interleaved=True)
+        compiled = plan.compiled() if self.config.scan_mode == "compiled" else None
+        link_messages, new_path_states = scan_rnn(
+            self.path_update, (node_states, link_states), plan.step_sources,
+            plan.step_rows, plan.mask, initial_state=path_states,
+            scatter=plan.scatter, compiled=compiled)
         new_link_states = self.link_update(link_messages, link_states)
 
         # Node update: element-wise sum of the states of the paths crossing
@@ -144,19 +124,6 @@ class ExtendedRouteNet(Module):
         new_node_states = self.node_update(node_messages, node_states)
 
         return new_path_states, new_link_states, new_node_states
-
-    def _gather_interleaved_sequence(self, sample: TensorizedSample, link_states: Tensor,
-                                     node_states: Tensor) -> Tuple[Tensor, np.ndarray]:
-        # Two fancy-index gathers build the per-hop node and link states in
-        # one shot; stacking them on a new axis and flattening it interleaves
-        # the hops as node1-link1-node2-link2-… (row-major order).
-        node_part = node_states.gather(sample.node_sequences)
-        link_part = link_states.gather(sample.link_sequences)
-        num_paths, max_len = sample.link_sequences.shape
-        sequence = F.stack([node_part, link_part], axis=2).reshape(
-            num_paths, 2 * max_len, link_part.shape[-1])
-        mask = np.repeat(sample.sequence_mask, 2, axis=1)
-        return sequence, mask
 
     # ------------------------------------------------------------------ #
     def predict(self, sample: TensorizedSample) -> np.ndarray:

@@ -16,7 +16,7 @@ message-passing iteration:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.nn.recurrent import ScanScatter
 from repro.nn.scan_kernels import ScanKernelSpec, compile_scan_spec
 from repro.nn.tensor import DTypeLike, Tensor, gather_segment_sum, resolve_dtype
 
-__all__ = ["MessagePassingIndex", "build_index", "initial_state", "aggregate_positional_messages",
+__all__ = ["MessagePassingIndex", "build_index", "initial_state",
            "aggregate_path_states_per_node", "ScanPlan", "build_scan_plan"]
 
 
@@ -98,43 +98,15 @@ def initial_state(features: np.ndarray, state_dim: int, dtype: DTypeLike = None)
     return Tensor(state)
 
 
-def aggregate_positional_messages(path_rnn_outputs: Tensor, index: MessagePassingIndex,
-                                  target: str) -> Tensor:
-    """Sum the path-RNN outputs at every hop into per-link or per-node messages.
-
-    ``path_rnn_outputs`` has shape (num_paths, max_len, dim); the output of
-    hop ``(p, t)`` is routed to the link (or node) that path ``p`` traverses
-    at position ``t`` and summed per target entity, exactly like
-    ``tf.math.unsorted_segment_sum`` in the reference implementation.
-    """
-    if target == "link":
-        segment_ids = index.entry_link_ids
-        num_segments = index.num_links
-    elif target == "node":
-        segment_ids = index.entry_node_ids
-        num_segments = index.num_nodes
-    else:
-        raise ValueError("target must be 'link' or 'node'")
-    # Fused gather + segment-sum: one autograd node, no intermediate
-    # (num_entries, dim) tensor (or gradient buffer) in the graph.
-    return gather_segment_sum(
-        path_rnn_outputs,
-        (index.entry_path_ids, index.entry_positions),
-        segment_ids,
-        num_segments,
-    )
-
-
 @dataclasses.dataclass
 class ScanPlan:
     """Everything :func:`repro.nn.recurrent.scan_rnn` needs for one sample.
 
     ``step_sources``/``step_rows``/``mask`` describe the per-step input
     gathers (which source matrix, which rows, which paths are valid), and
-    ``scatter`` routes each step's outputs into the per-link accumulators —
-    replacing the stacked ``(num_paths, num_steps, dim)`` sequence, the
-    stacked outputs and the post-hoc gather/segment-sum of the stacked
-    formulation.
+    ``scatter`` routes each step's outputs into the per-link accumulators,
+    so no stacked ``(num_paths, num_steps, dim)`` sequence or output tensor
+    is ever built.
     """
 
     step_sources: np.ndarray

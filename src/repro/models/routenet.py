@@ -26,15 +26,13 @@ from repro.datasets.tensorize import TensorizedSample
 from repro.models.config import RouteNetConfig
 from repro.models.message_passing import (
     MessagePassingIndex,
-    aggregate_positional_messages,
     build_index,
     build_scan_plan,
     initial_state,
 )
 from repro.models.readout import ReadoutMLP
-from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.nn.recurrent import GRUCell, run_rnn_over_sequence, scan_rnn
+from repro.nn.recurrent import GRUCell, scan_rnn
 from repro.nn.tensor import Tensor, default_dtype, resolve_dtype
 
 __all__ = ["RouteNet"]
@@ -80,38 +78,23 @@ class RouteNet(Module):
     # ------------------------------------------------------------------ #
     def _message_passing_step(self, sample: TensorizedSample, index: MessagePassingIndex,
                               path_states: Tensor, link_states: Tensor):
-        if self.config.scan_mode in ("stream", "compiled"):
-            # Streaming checkpointed scan: gathers each hop's link state on
-            # the fly and scatters every step's output straight into the
-            # per-link accumulators — neither the gathered sequence nor the
-            # stacked outputs ever exist.  In "compiled" mode the scan runs
-            # through the plan's precompiled step-kernel spec instead of the
-            # interpreted per-step tape.
-            plan = build_scan_plan(sample, index)
-            compiled = plan.compiled() if self.config.scan_mode == "compiled" else None
-            link_messages, new_path_states = scan_rnn(
-                self.path_update, (link_states,), plan.step_sources,
-                plan.step_rows, plan.mask, initial_state=path_states,
-                scatter=plan.scatter, compiled=compiled)
-        else:
-            # Stacked formulation: scan RNN_P over the gathered per-path
-            # sequence of link states, then segment-sum the stacked outputs.
-            sequence = self._gather_link_sequence(sample, link_states)
-            outputs, new_path_states = run_rnn_over_sequence(
-                self.path_update, sequence, sample.sequence_mask,
-                initial_state=path_states)
-            link_messages = aggregate_positional_messages(outputs, index, target="link")
+        # Streaming checkpointed scan: gathers each hop's link state on the
+        # fly and scatters every step's output straight into the per-link
+        # accumulators, so neither the gathered sequence nor the stacked
+        # outputs ever exist.  In "compiled" mode the scan runs through the
+        # plan's precompiled step-kernel spec instead of the interpreted
+        # per-step tape.
+        plan = build_scan_plan(sample, index)
+        compiled = plan.compiled() if self.config.scan_mode == "compiled" else None
+        link_messages, new_path_states = scan_rnn(
+            self.path_update, (link_states,), plan.step_sources,
+            plan.step_rows, plan.mask, initial_state=path_states,
+            scatter=plan.scatter, compiled=compiled)
 
         # Link update: feed the aggregated messages to RNN_L with the link
         # state as hidden state.
         new_link_states = self.link_update(link_messages, link_states)
         return new_path_states, new_link_states
-
-    def _gather_link_sequence(self, sample: TensorizedSample, link_states: Tensor) -> Tensor:
-        # One fancy-index gather builds the whole (num_paths, max_len, dim)
-        # sequence; padded positions read link 0 but are masked out by the
-        # RNN scan, exactly as with the former per-position loop.
-        return link_states.gather(sample.link_sequences)
 
     # ------------------------------------------------------------------ #
     def predict(self, sample: TensorizedSample) -> np.ndarray:

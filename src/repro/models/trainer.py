@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import os
@@ -71,7 +70,9 @@ class TrainerConfig:
     serial loop.  Note the group size is part of the update semantics: a
     ``num_workers=4`` run takes 4x fewer, smoother optimiser steps per
     epoch than a serial run over the same batches (exactly like increasing
-    the world size of distributed data-parallel training).  The process
+    the world size of distributed data-parallel training).  Each group
+    step is synchronous: broadcast the parameters, compute the members'
+    gradients, average them, take the optimiser step.  The process
     pool's parallelism is its workers, so each worker runs NumPy's
     OpenBLAS on one thread (no setting; on a BLAS without the OpenBLAS
     thread API the workers keep the library's default); the parent and
@@ -89,16 +90,6 @@ class TrainerConfig:
     ``task_timeout`` bounds one gradient task's wall time on the process
     backend — a worker exceeding it is presumed hung, killed and
     respawned; ``None`` (default) disables the bound.
-
-    ``overlap`` (with ``num_workers > 1``) turns on pipelining: after the
-    optimiser step for group ``k`` the parent immediately broadcasts the
-    updated parameters and puts group ``k+1`` on the workers, then does
-    its own bookkeeping — loss accounting, and at epoch boundaries the
-    validation pass and the checkpoint write — while the workers compute.
-    Overlap changes *when* the parent works, never *what* is computed:
-    every broadcast carries fully-updated parameters, so overlapped and
-    non-overlapped runs (and the ``serial`` twin) produce bit-identical
-    parameter trajectories.  Ignored when ``num_workers == 1``.
 
     ``prefetch_depth`` and ``stream_window`` shape the out-of-core path
     (``fit(dataset_path=...)`` over a sharded store): a background thread
@@ -124,7 +115,6 @@ class TrainerConfig:
     num_workers: int = 1
     parallel_backend: str = "process"
     task_timeout: Optional[float] = None
-    overlap: bool = False
     prefetch_depth: int = 2
     stream_window: int = 64
     seed: int = 0
@@ -258,10 +248,27 @@ class RouteNetTrainer:
         predictions = self.model(sample)
         loss = self._loss(predictions, sample.targets)
         loss.backward()
-        if self.config.gradient_clip_norm > 0:
-            clip_gradients_by_norm(self.model.parameters(), self.config.gradient_clip_norm)
+        value = float(loss.item())
+        self._update([value])
+        return value
+
+    def _update(self, losses: Sequence[float]) -> None:
+        """The tail of every step, serial or group: clip the gradient in
+        place, refuse a non-finite update, take the optimiser step.
+
+        ``clip_gradients_by_norm`` returns the pre-clip norm (and scales
+        nothing when ``gradient_clip_norm`` is 0).  A NaN or infinite loss
+        or norm raises :class:`FloatingPointError` *before* the optimiser
+        step, so the parameters, the optimiser moments and every
+        checkpoint stay finite.
+        """
+        norm = clip_gradients_by_norm(self.model.parameters(),
+                                      self.config.gradient_clip_norm)
+        if not (np.isfinite(losses).all() and np.isfinite(norm)):
+            raise FloatingPointError(
+                f"non-finite update refused: per-batch loss {[float(v) for v in losses]}, "
+                f"gradient norm {norm}")
         self.optimizer.step()
-        return float(loss.item())
 
     def evaluate_loss(self, samples: Sequence[TensorizedSample]) -> float:
         """Per-path average loss over tensorised samples, without updates.
@@ -309,49 +316,33 @@ class RouteNetTrainer:
                                rng=self._rng if self.config.shuffle else None)
         return batches, np.arange(len(batches))
 
-    def _submit_group_work(self, executor, work: tuple) -> None:
-        """Broadcast the current parameters and put one group on the executor.
+    def _train_group(self, executor, work: tuple) -> Tuple[List[float], List[int]]:
+        """One synchronous data-parallel step over a group of batches.
 
         ``work`` is ``("indices", [int, ...])`` for uploaded in-memory
         batches or ``("payload", [TensorizedSample, ...])`` for streamed
-        batches shipped inside the step messages.
-        """
-        kind, members = work
-        flat_params = self.model.parameters_vector()
-        if kind == "indices":
-            executor.submit_group(flat_params, members)
-        else:
-            executor.submit_group_payload(flat_params, members)
-
-    def _collect_and_apply(self, executor) -> Tuple[List[float], List[int]]:
-        """Gather the in-flight group's gradients and take the optimiser step.
-
-        The group gradient is the **path-weighted average**
-        ``sum_i(num_paths_i * g_i) / sum_i(num_paths_i)`` — the same
-        weighting :meth:`evaluate_loss` applies to losses, so the update
-        equals the gradient of the mean per-path loss over every path in
-        the group, exactly as if the group had been merged into one giant
-        batch.  Gradient clipping and the optimiser step then run on the
-        averaged gradient, once per group.
+        batches shipped inside the step messages.  The current parameters
+        are broadcast, the members' gradients computed, and their
+        **path-weighted average** ``sum_i(num_paths_i * g_i) /
+        sum_i(num_paths_i)`` taken: the weighting :meth:`evaluate_loss`
+        applies to losses, so the update equals the gradient of the mean
+        per-path loss over every path in the group, exactly as if the group
+        had been merged into one giant batch.  Clipping and the optimiser
+        step then run once on the averaged gradient.
 
         Returns the per-batch losses and path counts (for epoch-loss
         weighting, identical to the serial bookkeeping).
         """
+        kind, members = work
+        submit = executor.submit_group if kind == "indices" else executor.submit_group_payload
+        submit(self.model.parameters_vector(), members)
         results = executor.collect_group()
-        gradient = path_weighted_average([r[0] for r in results],
-                                         [r[2] for r in results])
-        self.model.load_gradients_vector(gradient)
-        if self.config.gradient_clip_norm > 0:
-            clip_gradients_by_norm(self.model.parameters(), self.config.gradient_clip_norm)
-        self.optimizer.step()
-        return [r[1] for r in results], [r[2] for r in results]
-
-    def train_step_group(self, executor, indices: Sequence[int]) -> Tuple[List[float], List[int]]:
-        """One synchronous data-parallel optimisation step over a group of
-        uploaded batches (see :meth:`_collect_and_apply` for the update
-        semantics)."""
-        self._submit_group_work(executor, ("indices", list(indices)))
-        return self._collect_and_apply(executor)
+        losses = [r[1] for r in results]
+        weights = [r[2] for r in results]
+        self.model.load_gradients_vector(
+            path_weighted_average([r[0] for r in results], weights))
+        self._update(losses)
+        return losses, weights
 
     def fit(self, train_samples: Optional[Sequence[Sample]] = None,
             val_samples: Optional[Sequence[Sample]] = None,
@@ -388,14 +379,15 @@ class RouteNetTrainer:
         — each call starts a fresh patience window.
 
         With ``config.num_workers > 1`` the epoch's batches are processed in
-        data-parallel groups (see :meth:`_collect_and_apply`); the executor —
-        a multiprocessing worker pool, or its in-process serial twin — lives
-        for the duration of this call.  ``config.overlap`` additionally
-        pipelines the groups: the parent submits group ``k+1`` the moment
-        its optimiser step for group ``k`` is done, and at epoch boundaries
-        puts the next epoch's first group on the workers *before* running
-        validation and writing the checkpoint — all without changing a
-        single update (see :class:`TrainerConfig`).
+        data-parallel groups, one synchronous step each (see
+        :meth:`_train_group`); the executor — a multiprocessing worker pool,
+        or its in-process serial twin — lives for the duration of this call.
+
+        A step whose loss or gradient norm is NaN or infinite raises
+        :class:`FloatingPointError` naming the epoch and the batch (or
+        group) index, before its optimiser step: the model keeps the
+        parameters of the last finite step, and the checkpoint on disk is
+        the one of the last completed epoch.
 
         Every epoch records ``samples_per_sec`` and ``peak_live_batches``
         into the history, so streaming-vs-in-memory throughput and memory
@@ -466,7 +458,6 @@ class RouteNetTrainer:
                 executor = make_gradient_executor(
                     self.model, self.config.num_workers,
                     loss=self.config.loss, backend="serial")
-        overlap = self.config.overlap and executor is not None
 
         def make_epoch():
             if reader is not None:
@@ -489,75 +480,40 @@ class RouteNetTrainer:
             return _MemoryEpoch(items, order)
 
         start_epoch = self.history.epochs[-1] if self.history.epochs else 0
-        last_epoch = start_epoch + self.config.epochs
-        pending = False   # one submitted-but-uncollected group (overlap mode)
-        carried = None    # next epoch planned ahead at an overlap boundary
-        current = None
         try:
-            for epoch in range(start_epoch + 1, last_epoch + 1):
+            for epoch in range(start_epoch + 1, start_epoch + self.config.epochs + 1):
                 start = time.perf_counter()
-                if carried is not None:
-                    current, works, losses, weights = carried
-                    carried = None
-                else:
-                    current = make_epoch()
-                    works = (iter(current.group_works(self.config.num_workers))
-                             if executor is not None else None)
-                    losses, weights = [], []
-                if executor is None:
-                    for batch in current.serial_batches():
-                        losses.append(self.train_step(batch))
-                        weights.append(batch.num_paths)
-                else:
-                    for work in works:
-                        if overlap:
-                            if pending:
-                                got_losses, got_weights = self._collect_and_apply(executor)
-                                losses.extend(got_losses)
-                                weights.extend(got_weights)
-                            self._submit_group_work(executor, work)
-                            pending = True
-                        else:
-                            self._submit_group_work(executor, work)
-                            got_losses, got_weights = self._collect_and_apply(executor)
-                            losses.extend(got_losses)
-                            weights.extend(got_weights)
-                    if pending:
-                        got_losses, got_weights = self._collect_and_apply(executor)
-                        losses.extend(got_losses)
-                        weights.extend(got_weights)
-                        pending = False
-                current.close()  # streaming: joins the finished producer
-                peak_live = current.peak_live_batches()
+                current = make_epoch()
+                losses, weights = [], []
+                unit, number = ("batch" if executor is None else "group"), 0
+                try:
+                    if executor is None:
+                        for number, batch in enumerate(current.serial_batches()):
+                            losses.append(self.train_step(batch))
+                            weights.append(batch.num_paths)
+                    else:
+                        works = current.group_works(self.config.num_workers)
+                        for number, work in enumerate(works):
+                            group_losses, group_weights = self._train_group(executor, work)
+                            losses.extend(group_losses)
+                            weights.extend(group_weights)
+                except FloatingPointError as error:
+                    raise FloatingPointError(
+                        f"epoch {epoch}, {unit} {number}: {error}") from None
+                finally:
+                    current.close()  # streaming: joins the producer
                 train_loss = float(np.average(
                     np.asarray(losses),
                     weights=np.asarray(weights, dtype=np.float64)))
-
-                # Overlap boundary: snapshot the RNG state the checkpoint
-                # must carry (the next epoch's plan consumes a draw that a
-                # resumed run will re-consume when *it* plans that epoch),
-                # then put the next epoch's first group on the workers so
-                # they compute through the validation pass and checkpoint
-                # write below.
-                rng_snapshot = None
-                if overlap and epoch < last_epoch:
-                    rng_snapshot = copy.deepcopy(self._rng.bit_generator.state)
-                    next_epoch = make_epoch()
-                    next_works = iter(next_epoch.group_works(self.config.num_workers))
-                    first = next(next_works, None)
-                    if first is not None:
-                        self._submit_group_work(executor, first)
-                        pending = True
-                    carried = (next_epoch, next_works, [], [])
                 val_loss = self.evaluate_loss(val_items) if val_items else None
                 seconds = time.perf_counter() - start
                 self.history.record(
                     epoch, train_loss, val_loss, seconds,
                     samples_per_sec=(samples_per_epoch / seconds
                                      if seconds > 0 else None),
-                    peak_live_batches=peak_live)
+                    peak_live_batches=current.peak_live_batches())
                 if checkpoint_path is not None:
-                    self.save_checkpoint(checkpoint_path, rng_state=rng_snapshot)
+                    self.save_checkpoint(checkpoint_path)
 
                 if self.config.log_every and epoch % self.config.log_every == 0:
                     message = f"epoch {epoch:3d}  train={train_loss:.5f}"
@@ -568,24 +524,8 @@ class RouteNetTrainer:
                 if stopper is not None:
                     monitored = val_loss if val_loss is not None else train_loss
                     if stopper.update(monitored, epoch):
-                        # A pre-submitted next-epoch group may be in flight:
-                        # collect and *discard* it (no optimiser step), so a
-                        # stopped overlapped run ends with exactly the
-                        # parameters of the non-overlapped one.
-                        if pending:
-                            executor.collect_group()
-                            pending = False
                         break
         finally:
-            if pending:
-                try:
-                    executor.collect_group()
-                except Exception:  # noqa: BLE001 - teardown best effort
-                    pass
-            if current is not None:
-                current.close()
-            if carried is not None:
-                carried[0].close()
             if executor is not None:
                 executor.close()
         return self.history
@@ -593,7 +533,7 @@ class RouteNetTrainer:
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def save_checkpoint(self, path: str, rng_state: Optional[dict] = None) -> str:
+    def save_checkpoint(self, path: str) -> str:
         """Write a full training checkpoint so a resumed run is *exact*.
 
         The checkpoint round-trips everything a bit-identical resume needs:
@@ -602,12 +542,6 @@ class RouteNetTrainer:
         ``1/(1 - beta**step)`` bias correction to the wrong statistics),
         the fitted normaliser, the recorded history and the trainer's RNG
         state (so epoch shuffling continues the same stream).
-
-        ``rng_state`` overrides the recorded RNG state: ``fit``'s overlap
-        mode plans the *next* epoch (consuming a shuffle draw) before it
-        writes the epoch's checkpoint, so it passes the state captured just
-        before that planning — a resumed run then re-draws the plan and
-        follows the uninterrupted trajectory bit for bit.
 
         Format: a compressed ``.npz`` holding the arrays (``model.<name>``
         weights and ``optim.<buffer>.<i>`` optimiser moments) **and** the
@@ -641,8 +575,7 @@ class RouteNetTrainer:
                            if self.normalizer is not None and self.normalizer.fitted
                            else None),
             "history": self.history.as_dict(),
-            "rng_state": (rng_state if rng_state is not None
-                          else self._rng.bit_generator.state),
+            "rng_state": self._rng.bit_generator.state,
         }
         # Embedding the metadata in the archive (a 0-d unicode array) makes
         # the npz rename below the checkpoint's single commit point.
@@ -703,10 +636,12 @@ class RouteNetTrainer:
         # Settings that silently change what is being optimised must match;
         # epochs (each fit trains that many *more*), learning_rate (a
         # deliberate fine-tuning knob; the schedule is re-derived from it),
-        # parallel_backend and overlap (bit-identical engines),
+        # parallel_backend (bit-identical engines), task_timeout,
         # prefetch_depth (a queue bound), seed (the restored RNG state
-        # supersedes it) and log_every are free to differ.  stream_window
-        # must match because it decides streamed batch membership.
+        # supersedes it) and log_every are free to differ, and settings this
+        # version no longer has (``overlap``, a pipelining switch that never
+        # changed an update) are ignored.  stream_window must match because
+        # it decides streamed batch membership.
         saved_config = metadata.get("trainer_config", {})
         mismatched = {
             field: (saved_config[field], getattr(self.config, field))

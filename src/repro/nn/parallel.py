@@ -33,15 +33,10 @@ it (one memcpy, instead of pickling the vector once per worker through a
 pipe) and each step message carries only a batch reference.  The parent
 publishes only while no group is in flight, and a group counts as in
 flight until every one of its replies is in, so no worker ever reads the
-buffer while it is rewritten.  That is enough for the trainer's
-``overlap`` mode, where the parent submits the next group
-(:meth:`GradientWorkerPool.submit_group`) the moment its optimiser step
-finishes and only then does its per-epoch bookkeeping, validation pass and
-checkpoint write while the workers are already computing
-(:meth:`collect_group` picks the results up later).  Overlap never changes
-*what* is computed — submitted parameters are always the fully-updated
-post-step vector — so overlapped and non-overlapped runs are
-bit-identical.
+buffer while it is rewritten.  The trainer's step is synchronous: it
+submits a group (:meth:`GradientWorkerPool.submit_group`), collects it
+(:meth:`GradientWorkerPool.collect_group`) and takes its optimiser step
+before it submits the next.
 
 Batches reach workers one of two ways: :meth:`set_batches` uploads a list
 once and steps reference batches by index (the in-memory trainer, whose
@@ -304,10 +299,8 @@ class SerialGradientExecutor(_ExecutorBase):
     Runs every group member sequentially on a pickle-round-tripped replica —
     no processes, no IPC — so ``num_workers > 1`` training can be executed
     (and debugged, and tested for bit-exact equivalence) on a single core.
-    ``submit_group`` merely records the work; the compute happens at
-    :meth:`collect_group`, which makes the engine a semantics twin of the
-    pool under the trainer's overlap mode too (no wall-clock overlap, same
-    parameter trajectory).
+    ``submit_group`` merely records the work and the parameters; the
+    compute happens at :meth:`collect_group`.
     """
 
     def __init__(self, model: Module, num_workers: int = 1, loss: str = "mse") -> None:

@@ -7,9 +7,12 @@ RouteNet's message passing uses recurrent cells in two roles:
 * as the *path update*, which reads an ordered sequence of link (and, in the
   extended architecture, node) states along each path.
 
-Both roles are covered by the cell classes here together with
-:func:`run_rnn_over_sequence`, which scans a cell over a padded batch of
-sequences with a mask.
+The models run the path update through :func:`scan_rnn`, a streaming
+checkpointed scan fused with the per-link aggregation (optionally through
+the compiled kernels of :mod:`repro.nn.scan_kernels`).
+:func:`run_rnn_over_sequence` scans a cell over a padded, masked batch of
+sequences and keeps every step's output; it is the straightforward
+reference the tests hold :func:`scan_rnn` to.
 """
 
 from __future__ import annotations
@@ -152,7 +155,11 @@ def run_rnn_over_sequence(
     mask: np.ndarray,
     initial_state: Optional[Tensor] = None,
 ) -> Tuple[Tensor, Tensor]:
-    """Scan ``cell`` over a padded batch of sequences.
+    """Scan ``cell`` over a padded batch of sequences, keeping every output.
+
+    The stacked ``(batch, max_len, state_size)`` outputs stay in the
+    autograd graph, so this is the reference formulation, not the one the
+    models train with (see :func:`scan_rnn`).
 
     Parameters
     ----------

@@ -81,7 +81,6 @@ def run_fig2_experiment(
     scan_mode: str = "compiled",
     bucket_by_length: bool = True,
     num_workers: int = 1,
-    overlap: bool = False,
     seed: int = 0,
     backend: str = "analytic",
     utilization_range=(0.35, 0.8),
@@ -95,18 +94,13 @@ def run_fig2_experiment(
     run on a CPU in minutes; the comparison structure is identical.
     ``dtype`` selects the training precision ("float32" roughly halves the
     training memory footprint; ``None`` keeps the process default).
-    ``scan_mode`` picks the path-RNN formulation ("compiled" — the
-    checkpointed streaming scan through precompiled step kernels, fastest
-    and flat peak memory on large merged graphs — "stream" for the
-    interpreted streaming scan, or "stacked" for the original materialised
-    scan) and
+    ``scan_mode`` picks the path-RNN executor ("compiled", the default
+    precompiled step kernels, or "stream", the interpreted streaming scan;
+    see :class:`~repro.models.config.RouteNetConfig`) and
     ``bucket_by_length`` groups similar-length scenarios per merged batch
     when ``batch_size > 1``.  ``num_workers > 1`` trains data-parallel: each
     optimisation step path-weight-averages the gradients of up to that many
-    batches computed concurrently on worker-process model replicas;
-    ``overlap`` additionally pipelines the parent's optimiser step and
-    bookkeeping with the next group's worker compute (bit-identical
-    results).
+    batches computed concurrently on worker-process model replicas.
     """
     train_topology = train_topology if train_topology is not None else geant2_topology()
     generalization_topology = (generalization_topology if generalization_topology is not None
@@ -167,7 +161,7 @@ def run_fig2_experiment(
     trainer_config = TrainerConfig(epochs=epochs, learning_rate=learning_rate,
                                    batch_size=batch_size, dtype=dtype,
                                    bucket_by_length=bucket_by_length,
-                                   num_workers=num_workers, overlap=overlap,
+                                   num_workers=num_workers,
                                    seed=seed)
 
     cdfs: Dict[str, ErrorCDF] = {}

@@ -14,8 +14,7 @@ and the farm keeps the workers alive through crashes and hangs.
 * :class:`SupervisedWorker` wraps one (process, pipe) pair behind a
   ``spawn`` callable, so the worker can be **reaped and respawned** with
   identical start-up state after a crash.  A worker whose process has
-  exited with no pending pipe data is dead; one that exceeds its task
-  deadline is hung (and gets killed).
+  exited with no pending pipe data is dead.
 * :class:`RestartBudget` bounds how many respawns a farm may spend before
   giving up — a crash loop (e.g. the OOM killer reaping every replacement)
   must eventually surface as an error instead of burning CPU forever.
@@ -48,17 +47,12 @@ __all__ = [
     "SupervisedWorker",
     "RestartBudget",
     "WorkerDied",
-    "WorkerTimedOut",
     "RestartBudgetExceeded",
 ]
 
 
 class WorkerDied(RuntimeError):
     """A worker process exited (or its pipe broke) with work outstanding."""
-
-
-class WorkerTimedOut(RuntimeError):
-    """A worker exceeded its per-task deadline and is presumed hung."""
 
 
 class RestartBudgetExceeded(RuntimeError):
@@ -102,11 +96,11 @@ class SupervisionPolicy:
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
 
-    def deadline(self, tasks: int = 1) -> Optional[float]:
-        """Absolute monotonic deadline for ``tasks`` queued tasks, or None."""
+    def deadline(self) -> Optional[float]:
+        """Absolute monotonic deadline for a task starting now, or None."""
         if self.task_timeout is None:
             return None
-        return time.monotonic() + self.task_timeout * max(1, tasks)
+        return time.monotonic() + self.task_timeout
 
 
 class RestartBudget:
@@ -139,7 +133,6 @@ class SupervisedWorker:
                  spawn: Callable[[int], Tuple[object, object]]) -> None:
         self.rank = rank
         self._spawn = spawn
-        self.restarts = 0
         self.process, self.conn = spawn(rank)
 
     # ------------------------------------------------------------------ #
@@ -171,33 +164,6 @@ class SupervisedWorker:
         """
         return not self.alive() and not self.has_data()
 
-    def recv_within(self, deadline: Optional[float],
-                    poll_interval: float = 0.2):
-        """Receive one reply, supervising liveness and the task deadline.
-
-        Raises :class:`WorkerDied` when the process exits without
-        replying, :class:`WorkerTimedOut` when ``deadline`` (monotonic
-        seconds, ``None`` = no bound) passes first.
-        """
-        while True:
-            try:
-                if self.conn.poll(poll_interval):
-                    return self.conn.recv()
-            except (EOFError, OSError) as error:
-                raise WorkerDied(
-                    f"worker {self.rank} died with work in flight "
-                    f"({error!r}); its process may have been killed "
-                    "(e.g. by the OOM killer)") from error
-            if self.is_dead():
-                raise WorkerDied(
-                    f"worker {self.rank} (pid {self.process.pid}) exited "
-                    f"with code {self.process.exitcode} while its work was "
-                    "in flight")
-            if deadline is not None and time.monotonic() > deadline:
-                raise WorkerTimedOut(
-                    f"worker {self.rank} (pid {self.process.pid}) exceeded "
-                    "its task timeout and is presumed hung")
-
     # ------------------------------------------------------------------ #
     def reap(self, graceful_timeout: float = 0.5) -> None:
         """Tear the worker down for good (terminate, then kill)."""
@@ -217,7 +183,6 @@ class SupervisedWorker:
     def respawn(self) -> None:
         """Reap the current process and start an identical replacement."""
         self.reap()
-        self.restarts += 1
         self.process, self.conn = self._spawn(self.rank)
 
     def close(self, farewell=None, join_timeout: float = 5.0) -> None:

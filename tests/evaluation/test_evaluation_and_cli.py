@@ -83,6 +83,14 @@ class TestCLI:
         args = parser.parse_args(["generate", "--output", "x", "--samples", "5"])
         assert args.command == "generate"
         assert args.samples == 5
+        # The path scan and the data-parallel step each have one executor.
+        for argv in (["train", "--dataset", "d", "--output", "o", "--scan-mode", "stream"],
+                     ["evaluate", "--dataset", "d", "--weights", "w", "--scan-mode", "stream"],
+                     ["fig2", "--scan-mode", "stream"],
+                     ["train", "--dataset", "d", "--output", "o", "--overlap"],
+                     ["fig2", "--overlap"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

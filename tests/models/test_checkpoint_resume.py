@@ -9,6 +9,7 @@ freshly zeroed moments — quietly wrong updates.  A full trainer checkpoint
 produce bit-identical parameters and the same recorded history.
 """
 
+import json
 import os
 
 import numpy as np
@@ -149,6 +150,24 @@ def test_fit_checkpoint_path_saves_every_epoch(samples, tmp_path):
                           trainer.model.parameters_vector())
 
 
+def test_checkpoint_with_a_removed_setting_loads(samples, tmp_path):
+    """Checkpoints whose trainer_config still holds ``overlap`` (a
+    pipelining switch that never changed an update) keep loading."""
+    trainer = _trainer(1)
+    trainer.fit(samples)
+    path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    metadata = json.loads(str(arrays["meta.json"]))
+    metadata["trainer_config"]["overlap"] = True
+    arrays["meta.json"] = np.array(json.dumps(metadata))
+    np.savez_compressed(path, **arrays)
+    restored = _trainer(1)
+    restored.load_checkpoint(path)
+    assert np.array_equal(restored.model.parameters_vector(),
+                          trainer.model.parameters_vector())
+
+
 def test_missing_checkpoint_raises(tmp_path):
     trainer = _trainer(1)
     with pytest.raises(FileNotFoundError):
@@ -169,3 +188,5 @@ def test_trainer_config_validation():
         TrainerConfig(num_workers=0)
     with pytest.raises(ValueError, match="parallel_backend"):
         TrainerConfig(parallel_backend="threads")
+    with pytest.raises(TypeError, match="overlap"):
+        TrainerConfig(overlap=True)

@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import AnalyticGroundTruth, FeatureNormalizer, tensorize_sample
 from repro.models.message_passing import (
     aggregate_path_states_per_node,
-    aggregate_positional_messages,
     build_index,
     initial_state,
 )
@@ -14,6 +13,7 @@ from repro.nn.tensor import Tensor
 from repro.routing import shortest_path_routing
 from repro.topology import linear_topology, ring_topology
 from repro.traffic import uniform_traffic
+from tests.models.stacked_oracle import aggregate_positional_messages
 
 
 def _tensorized(topology):

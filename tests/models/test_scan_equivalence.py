@@ -1,12 +1,12 @@
-"""Streaming/compiled vs stacked scan: model-level equivalence properties.
+"""Streaming and compiled scans vs the stacked oracle: model-level equivalence.
 
 The ``scan_mode`` switch must be semantically invisible: for both RouteNet
 architectures, the streaming checkpointed scan *and* the compiled
-bucket-vectorised kernel path have to reproduce the stacked formulation's
-predictions and every parameter gradient within rounding, in whichever
-precision the suite runs at — that is what licenses keeping the compiled
-path on the training hot loop while the stacked path remains a gradcheck
-cross-validation reference.
+bucket-vectorised kernel path have to reproduce the predictions and every
+parameter gradient of the stacked formulation in
+:mod:`tests.models.stacked_oracle` within rounding, in whichever precision
+the suite runs at.  That is what licenses the compiled path on the training
+hot loop.
 """
 
 from __future__ import annotations
@@ -24,9 +24,12 @@ from repro.datasets import (
 )
 from repro.datasets.batching import merge_tensorized_samples
 from repro.models import ExtendedRouteNet, RouteNet, RouteNetConfig
+from repro.models import extended as extended_module
+from repro.models import routenet as routenet_module
 from repro.nn.losses import mse_loss
 from repro.nn.tensor import Tensor, no_grad
 
+from tests.models.stacked_oracle import STACKED
 from tests.support import float_tolerance
 
 BASE_CONFIG = RouteNetConfig(link_state_dim=6, path_state_dim=6, node_state_dim=6,
@@ -53,8 +56,7 @@ def scenario_mix():
 
 def _model_pair(model_cls, scan_mode):
     candidate = model_cls(dataclasses.replace(BASE_CONFIG, scan_mode=scan_mode))
-    stacked = model_cls(dataclasses.replace(BASE_CONFIG, scan_mode="stacked"))
-    return candidate, stacked
+    return candidate, STACKED[model_cls](BASE_CONFIG)
 
 
 @pytest.mark.parametrize("scan_mode", ["stream", "compiled"])
@@ -98,7 +100,7 @@ class TestScanModeEquivalence:
 def test_compiled_matches_stream_directly(scenario_mix):
     """The compiled kernels replay the streaming scan's arithmetic with the
     same op order and the same stable-sigmoid formulation, so the two modes
-    agree far tighter than either does with the stacked reference (only
+    agree far tighter than either does with the stacked oracle (only
     BLAS-shape rounding separates them)."""
     for model_cls in (RouteNet, ExtendedRouteNet):
         compiled, _ = _model_pair(model_cls, "compiled")
@@ -111,9 +113,23 @@ def test_compiled_matches_stream_directly(scenario_mix):
                     rtol=float_tolerance(1e-10, 1e-4))
 
 
+def test_oracle_does_not_run_the_scans_it_checks(scenario_mix, monkeypatch):
+    """The oracle replaces the whole message-passing step, so neither model's
+    streaming scan is reached when it runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stacked oracle reached scan_rnn")
+
+    for module in (routenet_module, extended_module):
+        monkeypatch.setattr(module, "scan_rnn", refuse)
+    for model_cls in (RouteNet, ExtendedRouteNet):
+        STACKED[model_cls](BASE_CONFIG)(scenario_mix[-1])
+
+
 def test_scan_mode_validated():
     with pytest.raises(ValueError):
         RouteNetConfig(scan_mode="lazy")
+    with pytest.raises(ValueError):
+        RouteNetConfig(scan_mode="stacked")
 
 
 def test_default_scan_mode_is_compiled():

@@ -6,9 +6,7 @@ produced by a :class:`~repro.datasets.prefetch.BatchPrefetcher`) must be an
 covering the dataset, a streamed epoch builds exactly the batches the
 in-memory trainer pre-merges and visits them in the same RNG order, so the
 parameter trajectories are **bit-identical** — in both RNN scan modes, under
-both parallel backends and at any prefetch depth.  The same contract holds
-for ``overlap`` mode: the overlapped broadcast pipelines the parent's
-bookkeeping with worker compute but never changes a single update.
+both parallel backends and at any prefetch depth.
 """
 
 import numpy as np
@@ -60,7 +58,7 @@ def _make_trainer(normalizer, scan_mode="stream", **config):
 # ---------------------------------------------------------------------- #
 # Streamed == in-memory, bit for bit
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("scan_mode", ["compiled", "stream", "stacked"])
+@pytest.mark.parametrize("scan_mode", ["compiled", "stream"])
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_streamed_epoch_bit_identical_across_backends(samples, normalizer, store,
                                                       scan_mode, backend):
@@ -194,72 +192,6 @@ def test_streaming_checkpoint_resume_bit_exact(samples, normalizer, store,
     assert full.history.train_loss == resumed.history.train_loss
     assert np.array_equal(full.model.parameters_vector(),
                           resumed.model.parameters_vector())
-
-
-# ---------------------------------------------------------------------- #
-# Overlap mode: pipelined, but bit-identical
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_overlap_bit_identical(samples, normalizer, backend):
-    plain = _make_trainer(normalizer, epochs=3, num_workers=2,
-                          parallel_backend=backend)
-    plain.fit(samples)
-    overlapped = _make_trainer(normalizer, epochs=3, num_workers=2,
-                               parallel_backend=backend, overlap=True)
-    overlapped.fit(samples)
-    assert plain.history.train_loss == overlapped.history.train_loss
-    assert np.array_equal(plain.model.parameters_vector(),
-                          overlapped.model.parameters_vector())
-
-
-def test_overlap_streaming_bit_identical(samples, normalizer, store):
-    plain = _make_trainer(normalizer, epochs=3, num_workers=2,
-                          parallel_backend="serial")
-    plain.fit(samples)
-    overlapped = _make_trainer(normalizer, epochs=3, num_workers=2,
-                               parallel_backend="serial", overlap=True)
-    overlapped.fit(dataset_path=store)
-    assert np.array_equal(plain.model.parameters_vector(),
-                          overlapped.model.parameters_vector())
-
-
-def test_overlap_checkpoint_resume_bit_exact(samples, normalizer, tmp_path):
-    """The overlap boundary plans epoch k+1 (consuming an RNG draw) before
-    the epoch-k checkpoint is written; the checkpoint must carry the
-    pre-planning RNG state so a resumed run re-draws it."""
-    kwargs = dict(num_workers=2, parallel_backend="serial", overlap=True)
-    full = _make_trainer(normalizer, epochs=4, **kwargs)
-    full.fit(samples)
-    checkpoint = str(tmp_path / "ck")
-    first = _make_trainer(normalizer, epochs=2, **kwargs)
-    first.fit(samples, checkpoint_path=checkpoint)
-    resumed = _make_trainer(normalizer, epochs=2, **kwargs)
-    resumed.load_checkpoint(checkpoint)
-    resumed.fit(samples)
-    assert full.history.train_loss == resumed.history.train_loss
-    assert np.array_equal(full.model.parameters_vector(),
-                          resumed.model.parameters_vector())
-
-
-def test_overlap_early_stopping_discards_inflight_group(samples, normalizer):
-    """When early stopping fires, the pre-submitted next-epoch group must be
-    discarded: the stopped overlapped run matches the non-overlapped one."""
-    kwargs = dict(epochs=6, num_workers=2, parallel_backend="serial",
-                  early_stopping_patience=1)
-    plain = _make_trainer(normalizer, **kwargs)
-    plain.fit(samples, val_samples=samples[:2])
-    overlapped = _make_trainer(normalizer, overlap=True, **kwargs)
-    overlapped.fit(samples, val_samples=samples[:2])
-    assert plain.history.epochs == overlapped.history.epochs
-    assert np.array_equal(plain.model.parameters_vector(),
-                          overlapped.model.parameters_vector())
-
-
-def test_overlap_ignored_without_workers(samples, normalizer):
-    """overlap=True with num_workers=1 is a documented no-op."""
-    trainer = _make_trainer(normalizer, overlap=True)
-    trainer.fit(samples)
-    assert len(trainer.history.epochs) == 2
 
 
 # ---------------------------------------------------------------------- #
