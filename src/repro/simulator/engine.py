@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from typing import Any, Callable, Optional
 
 from repro.simulator.events import Event, EventQueue
@@ -22,6 +25,7 @@ class Simulator:
         self._now = 0.0
         self._processed = 0
         self._running = False
+        self._packet_ids = itertools.count()
 
     # ------------------------------------------------------------------ #
     @property
@@ -38,6 +42,10 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still scheduled."""
         return len(self._queue)
+
+    def next_packet_id(self) -> int:
+        """A fresh packet identifier: 0, 1, 2, ... within this simulation."""
+        return next(self._packet_ids)
 
     # ------------------------------------------------------------------ #
     def schedule(self, delay: float, callback: Callable[[], Any]) -> Event:
@@ -62,26 +70,30 @@ class Simulator:
         if self._running:
             raise RuntimeError("run() is not re-entrant")
         self._running = True
+        heap = self._queue._heap
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
         executed = 0
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
+            while heap and executed != budget:
+                entry = heappop(heap)
+                event = entry[2]
+                if event.cancelled:
+                    continue
+                time = entry[0]
+                if time >= horizon:
+                    # Not due yet: put it back for the next run.
+                    heapq.heappush(heap, entry)
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time >= until:
-                    break
-                event = self._queue.pop()
-                if event is None:
-                    break
-                self._now = event.time
+                self._now = time
                 event.callback()
                 self._processed += 1
                 executed += 1
-            if until is not None and (self._queue.peek_time() is None
-                                      or self._queue.peek_time() >= until):
-                self._now = max(self._now, until) if until is not None else self._now
+            if until is not None:
+                next_time = self._queue.peek_time()
+                if next_time is None or next_time >= until:
+                    self._now = max(self._now, until)
         finally:
             self._running = False
         return self._now
@@ -91,3 +103,4 @@ class Simulator:
         self._queue.clear()
         self._now = 0.0
         self._processed = 0
+        self._packet_ids = itertools.count()

@@ -5,12 +5,12 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclasses.dataclass(order=False)
+@dataclasses.dataclass(order=False, slots=True)
 class Event:
     """A scheduled callback.
 
@@ -33,36 +33,45 @@ class Event:
 
 
 class EventQueue:
-    """A binary-heap future-event list."""
+    """A binary-heap future-event list.
+
+    The heap holds ``(time, sequence, event)`` tuples rather than the events
+    themselves, so :mod:`heapq` orders it with C tuple comparisons instead
+    of calls to :meth:`Event.__lt__`.  The sequence number is unique and
+    increases with every push: two entries never compare equal on both keys,
+    the event itself is never compared, and simultaneous events leave in the
+    order they were scheduled, exactly as ``Event`` ordering defines.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def push(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         if time < 0:
             raise ValueError("event time must be non-negative")
-        event = Event(time=time, sequence=next(self._counter), callback=callback)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or ``None``."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest non-cancelled event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional
 
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
@@ -20,6 +21,14 @@ class Link:
     node).  Waiting packets are held in a :class:`DropTailQueue` whose size
     is the *source node's* queue size — the per-device feature the extended
     model learns.
+
+    The events a link schedules carry no packet.  Packets that left the
+    queue and have not arrived yet (the one on the wire, then those
+    propagating) wait on the link in a FIFO, and each arrival event pops
+    its head.  That is exact because arrival events fire in the order the
+    link scheduled them: transmissions run one at a time, so finish times
+    never decrease; the propagation delay is constant, so arrival times
+    never decrease either; and the engine breaks ties in scheduling order.
     """
 
     def __init__(
@@ -47,6 +56,7 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue(queue_capacity)
         self.deliver = deliver
         self.busy = False
+        self._in_flight: Deque[Packet] = deque()
         # Statistics
         self.packets_sent = 0
         self.bits_sent = 0.0
@@ -64,29 +74,32 @@ class Link:
         otherwise it joins the queue.  Returns False when the queue is full
         and the packet is dropped.
         """
-        now = self.simulator.now
         if not self.busy:
             self._start_transmission(packet)
             return True
-        return self.queue.enqueue(packet, now)
+        return self.queue.enqueue(packet, self.simulator.now)
 
     def _start_transmission(self, packet: Packet) -> None:
         self.busy = True
+        self._in_flight.append(packet)
         duration = self.transmission_time(packet)
         self.busy_time += duration
         self.packets_sent += 1
         self.bits_sent += packet.size_bits
-        self.simulator.schedule(duration, lambda: self._finish_transmission(packet))
+        self.simulator.schedule(duration, self._finish_transmission)
 
-    def _finish_transmission(self, packet: Packet) -> None:
+    def _finish_transmission(self) -> None:
         # The wire is free as soon as the last bit leaves; propagation happens
         # "in flight" and does not block the next transmission.
-        self.simulator.schedule(self.propagation_delay, lambda: self.deliver(packet))
+        self.simulator.schedule(self.propagation_delay, self._arrive)
         next_packet = self.queue.dequeue(self.simulator.now)
         if next_packet is None:
             self.busy = False
         else:
             self._start_transmission(next_packet)
+
+    def _arrive(self) -> None:
+        self.deliver(self._in_flight.popleft())
 
     # ------------------------------------------------------------------ #
     def utilization(self, elapsed: Optional[float] = None) -> float:

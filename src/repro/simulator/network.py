@@ -89,6 +89,9 @@ class NetworkSimulation:
         self._recorders: Dict[Tuple[int, int], FlowRecorder] = {}
         self._nodes: Dict[int, RouterNode] = {}
         self._links: Dict[int, Link] = {}
+        # The link each flow's packets leave their source host on, filled in
+        # with the sources.
+        self._first_links: Dict[Tuple[int, int], Link] = {}
         self._measuring = False
         self._build()
 
@@ -149,6 +152,8 @@ class NetworkSimulation:
                 priority=priorities.get((src, dst), 0),
             )
             self._recorders[(src, dst)] = FlowRecorder((src, dst))
+            path = self.routing.path(src, dst)
+            self._first_links[source.flow] = self._nodes[path[0]].output_link(path[1])
             sources.append(source)
         return sources
 
@@ -160,9 +165,7 @@ class NetworkSimulation:
             self._recorders[packet.flow].record_sent()
         packet.record_hop(packet.source)
         # The packet leaves the source host through the first link of its path.
-        path = self.routing.path(*packet.flow)
-        first_link = self._nodes[path[0]].output_link(path[1])
-        accepted = first_link.send(packet)
+        accepted = self._first_links[packet.flow].send(packet)
         if not accepted and self._measuring:
             self._recorders[packet.flow].record_dropped()
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.simulator.link import Link
 from repro.simulator.packet import Packet
@@ -28,7 +28,9 @@ class RouterNode:
         self._on_delivered = on_delivered
         self._on_dropped = on_dropped
         self._output_links: Dict[int, Link] = {}
-        self._forwarding_table: Dict[tuple, int] = {}
+        # Per-flow forwarding straight to the output link: one dict lookup
+        # per packet.
+        self._forwarding_table: Dict[tuple, Link] = {}
         # Statistics
         self.packets_received = 0
         self.packets_forwarded = 0
@@ -46,11 +48,13 @@ class RouterNode:
         """Install the next hop for a ``(source, destination)`` flow.
 
         Forwarding is per-flow (not merely per-destination) so that routing
-        schemes with non-destination-based paths remain simulable.
+        schemes with non-destination-based paths remain simulable.  The
+        route holds the output link attached towards ``next_hop`` now.
         """
-        if int(next_hop) not in self._output_links:
+        link = self._output_links.get(int(next_hop))
+        if link is None:
             raise KeyError(f"node {self.node_id} has no output link to {next_hop}")
-        self._forwarding_table[(int(flow[0]), int(flow[1]))] = int(next_hop)
+        self._forwarding_table[(int(flow[0]), int(flow[1]))] = link
 
     def output_link(self, neighbor: int) -> Link:
         """The output link towards ``neighbor``."""
@@ -67,22 +71,17 @@ class RouterNode:
             self.packets_delivered += 1
             self._on_delivered(packet)
             return
-        next_hop = self._lookup(packet)
-        if next_hop is None:
+        link = self._forwarding_table.get(packet.flow)
+        if link is None:
             self.packets_dropped += 1
             packet.dropped = True
             self._on_dropped(packet, self.node_id)
             return
-        link = self._output_links[next_hop]
-        accepted = link.send(packet)
-        if accepted:
+        if link.send(packet):
             self.packets_forwarded += 1
         else:
             self.packets_dropped += 1
             self._on_dropped(packet, self.node_id)
-
-    def _lookup(self, packet: Packet) -> Optional[int]:
-        return self._forwarding_table.get((packet.source, packet.destination))
 
     def __repr__(self) -> str:
         return f"RouterNode(id={self.node_id}, queue_size={self.queue_size})"

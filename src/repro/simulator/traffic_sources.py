@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -17,9 +16,11 @@ DEFAULT_PACKET_SIZE_BITS = 8000.0
 
 
 class TrafficSource:
-    """Base class: emits packets of one flow into a sink callable."""
+    """Base class: emits packets of one flow into a sink callable.
 
-    _id_counter = itertools.count()
+    Packet identifiers come from the simulator, so they count from 0 in
+    every simulation and are unique across all of its sources.
+    """
 
     def __init__(
         self,
@@ -63,7 +64,7 @@ class TrafficSource:
 
     def _emit(self) -> None:
         packet = Packet(
-            packet_id=next(TrafficSource._id_counter),
+            packet_id=self.simulator.next_packet_id(),
             flow=self.flow,
             size_bits=max(self._packet_size(), 1.0),
             created_at=self.simulator.now,

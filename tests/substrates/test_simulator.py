@@ -16,6 +16,7 @@ from repro.routing import shortest_path_routing
 from repro.simulator import (
     DropTailQueue,
     Flow,
+    NetworkSimulation,
     Packet,
     PoissonSource,
     SimulationConfig,
@@ -106,6 +107,42 @@ class TestSimulatorEngine:
             sim.schedule(float(i), lambda: None)
         sim.run(max_events=4)
         assert sim.events_processed == 4
+
+    def test_run_resumes_after_the_horizon(self):
+        sim = Simulator()
+        fired = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule(time, lambda time=time: fired.append(time))
+        sim.run(until=2.0)
+        assert fired == [1.0] and sim.pending_events == 2
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0] and sim.events_processed == 3
+
+    def test_cancelled_event_is_skipped_and_not_counted(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2))
+        event.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [2] and sim.events_processed == 1
+
+    def test_events_before_a_raising_callback_stay_counted(self):
+        sim = Simulator()
+        fired = []
+
+        def fail():
+            raise RuntimeError("callback failed")
+
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, fail)
+        sim.schedule(3.0, lambda: fired.append(3))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.events_processed == 1 and sim.now == 2.0
+        sim.run()
+        assert fired == [1, 3] and sim.events_processed == 2
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -398,7 +435,28 @@ class TestNetworkSimulation:
         r2 = simulate_network(topology, routing, traffic, config)
         d1 = r1.delays_vector(routing.pairs())
         d2 = r2.delays_vector(routing.pairs())
-        np.testing.assert_allclose(d1, d2, equal_nan=True)
+        assert np.array_equal(d1, d2, equal_nan=True)
+        assert r1.events_processed == r2.events_processed
+
+    def test_packet_ids_count_from_zero_in_every_simulation(self):
+        topology = _two_node_topology()
+        routing = shortest_path_routing(topology)
+        traffic = TrafficMatrix.zeros(2)
+        traffic.set_demand(0, 1, 1e5)
+        traffic.set_demand(1, 0, 1e5)
+        config = SimulationConfig(duration=1.0, warmup=0.1, seed=4)
+
+        def injected_ids():
+            simulation = NetworkSimulation(topology, routing, traffic, config)
+            ids = []
+            inject = simulation._inject
+            simulation._inject = lambda packet: (ids.append(packet.packet_id), inject(packet))
+            simulation.run()
+            return ids
+
+        first, second = injected_ids(), injected_ids()
+        assert first == list(range(len(first))) and len(first) > 10
+        assert second == first
 
     def test_mismatched_traffic_size_raises(self):
         topology = _two_node_topology()
