@@ -4,11 +4,16 @@ Installed as the ``repro-net`` console script::
 
     repro-net generate --topology geant2 --samples 50 --output data/geant2
     repro-net generate --topology geant2 --samples 5000 --workers 4 \\
-                       --unit-size 64 --output data/geant2-store   # factory
-    repro-net status   --dataset data/geant2-store
+                       --unit-size 64 --output data/geant2-big
+    repro-net status   --dataset data/geant2
     repro-net train    --dataset data/geant2 --model extended --output models/ext
     repro-net evaluate --dataset data/geant2 --model extended --weights models/ext
     repro-net fig2     --train-samples 40 --eval-samples 15 --epochs 10
+
+``generate`` always runs the dataset factory
+(:func:`repro.datasets.factory.run_job`): it writes a catalogued format-3
+store directory whose units draw from ``default_rng([seed, unit_index])``,
+in-process with ``--workers 1``.
 """
 
 from __future__ import annotations
@@ -18,40 +23,23 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from repro.datasets.factory import (
     DatasetJobSpec,
     format_job_status,
     job_status,
     run_job,
 )
-from repro.datasets.generator import DatasetConfig, generate_dataset
 from repro.datasets.normalization import FeatureNormalizer
-from repro.datasets.sharded import (
-    ShardedDatasetReader,
-    ShardedDatasetWriter,
-    attach_normalizer,
-    shard_size_for,
-)
 from repro.datasets.splits import train_val_test_split
-from repro.datasets.storage import load_dataset, save_dataset
+from repro.datasets.storage import load_dataset
 from repro.models.config import RouteNetConfig
 from repro.models.extended import ExtendedRouteNet
 from repro.models.routenet import RouteNet
 from repro.models.trainer import RouteNetTrainer, TrainerConfig, evaluate_model
 from repro.nn.serialization import load_checkpoint, read_checkpoint_metadata, save_checkpoint
 from repro.pipeline import run_fig2_experiment
-from repro.topology.geant2 import geant2_topology
-from repro.topology.generators import random_topology
-from repro.topology.nsfnet import nsfnet_topology
 
 __all__ = ["main", "build_parser"]
-
-_TOPOLOGIES = {
-    "geant2": geant2_topology,
-    "nsfnet": nsfnet_topology,
-}
 
 _MODELS = {
     "original": RouteNet,
@@ -67,70 +55,53 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     generate = subparsers.add_parser("generate", help="generate a dataset of samples")
-    generate.add_argument("--topology", choices=sorted(_TOPOLOGIES) + ["random"],
+    generate.add_argument("--topology", choices=["geant2", "nsfnet", "random"],
                           default="geant2")
     generate.add_argument("--samples", type=int, default=50)
     generate.add_argument("--small-queue-fraction", type=float, default=0.5)
     generate.add_argument("--backend", choices=["analytic", "simulation"], default="analytic")
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--random-nodes", type=int, default=12,
-                          help="node count when --topology random")
-    generate.add_argument("--dataset-shards", type=int, default=None,
-                          help="write a sharded store directory of this many "
-                               "shards instead of one .json.gz blob: samples "
-                               "stream straight to disk during generation "
-                               "(O(1) live samples), and 'train "
-                               "--prefetch-depth' can later stream epochs out "
-                               "of it without loading the dataset")
-    generate.add_argument("--shard-payload", choices=["binary", "jsonl"],
-                          default="binary",
-                          help="with --dataset-shards: shard encoding — "
-                               "'binary' (default) writes format-3 npz array "
-                               "shards that load without JSON parsing; "
-                               "'jsonl' writes the format-2 gzipped-JSONL "
-                               "shards readable by older checkouts")
+                          help="node count when --topology random (the "
+                               "factory topology 'random:N', drawn from the "
+                               "job seed)")
     generate.add_argument("--output", required=True,
-                          help="output dataset path (.json.gz, or a store "
-                               "directory with --dataset-shards or in "
-                               "factory mode)")
+                          help="output store directory: a catalogued "
+                               "sharded store with one shard per work unit")
     generate.add_argument("--workers", type=int, default=1,
-                          help="dataset factory: generate with this many "
-                               "worker processes, each executing whole work "
+                          help="worker processes, each executing whole work "
                                "units and committing them atomically as "
-                               "shards of a catalogued store (any of "
-                               "--workers/--resume/--unit-size/--limit-units "
-                               "switches generation to the factory; output "
-                               "content is identical for every worker count)")
+                               "shards (1 runs in-process; output content is "
+                               "identical for every worker count)")
     generate.add_argument("--resume", action="store_true",
-                          help="dataset factory: top up an existing factory "
-                               "store — only units that are missing, failed, "
-                               "or whose shard file disappeared are executed")
-    generate.add_argument("--unit-size", type=int, default=None,
-                          help="dataset factory: samples per work unit (the "
+                          help="top up an existing store — only units that "
+                               "are missing, failed, or whose shard file "
+                               "disappeared are executed; re-running into an "
+                               "existing store requires it")
+    generate.add_argument("--unit-size", type=int, default=32,
+                          help="samples per work unit and per shard (the "
                                "granularity of scheduling, atomic commit and "
-                               "resume; default 32)")
+                               "resume)")
     generate.add_argument("--limit-units", type=int, default=None,
-                          help="dataset factory: execute at most this many "
-                               "units this invocation, leaving the rest "
-                               "pending for a later --resume run (budgeted "
-                               "top-up)")
+                          help="execute at most this many units this "
+                               "invocation, leaving the rest pending for a "
+                               "later --resume run (budgeted top-up)")
     generate.add_argument("--max-retries", type=int, default=2,
-                          help="dataset factory: re-execute a failing unit up "
-                               "to this many extra times this run before "
-                               "quarantining it (the run then completes and "
-                               "exits 1; 'status' shows the traceback, "
-                               "--resume retries quarantined units)")
+                          help="re-execute a failing unit up to this many "
+                               "extra times this run before quarantining it "
+                               "(the run then completes and exits 1; "
+                               "'status' shows the traceback, --resume "
+                               "retries quarantined units)")
     generate.add_argument("--task-timeout", type=float, default=None,
-                          help="dataset factory: seconds a worker may spend "
-                               "on one unit before it is presumed hung, "
-                               "killed and respawned, and the unit retried "
-                               "(default: wait forever)")
+                          help="seconds a worker may spend on one unit "
+                               "before it is presumed hung, killed and "
+                               "respawned, and the unit retried (default: "
+                               "wait forever)")
 
     status = subparsers.add_parser(
         "status", help="report a factory store's per-unit progress")
     status.add_argument("--dataset", required=True,
-                        help="factory store directory (written by "
-                             "'generate --workers/--resume')")
+                        help="factory store directory (written by 'generate')")
 
     train = subparsers.add_parser("train", help="train a model on a dataset")
     train.add_argument("--dataset", required=True)
@@ -161,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "forever)")
     train.add_argument("--prefetch-depth", type=int, default=None,
                        help="out-of-core training: --dataset must be a sharded "
-                            "store ('generate --dataset-shards'); epochs are "
+                            "store (as 'generate' writes); epochs are "
                             "streamed through a prefetch pipeline holding at "
                             "most this many merged batches ahead instead of "
                             "the whole tensorised dataset (trains on the full "
@@ -209,65 +180,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_topology(args: argparse.Namespace):
-    if args.topology == "random":
-        return random_topology(args.random_nodes, rng=np.random.default_rng(args.seed))
-    return _TOPOLOGIES[args.topology]()
-
-
 def _command_generate(args: argparse.Namespace) -> int:
-    factory_mode = (args.workers > 1 or args.resume
-                    or args.unit_size is not None
-                    or args.limit_units is not None)
-    if factory_mode:
-        return _generate_via_factory(args)
-    topology = _resolve_topology(args)
-    config = DatasetConfig(num_samples=args.samples,
-                           small_queue_fraction=args.small_queue_fraction,
-                           backend=args.backend, seed=args.seed)
-    metadata = {"topology": topology.name, "samples": args.samples,
-                "backend": args.backend, "seed": args.seed}
-    if args.dataset_shards is not None:
-        # Out-of-core generation: samples stream straight to the sharded
-        # store (never held as a list), then the normaliser is fitted by
-        # streaming the store back — two passes, O(1) live samples.
-        with ShardedDatasetWriter(args.output,
-                                  shard_size=shard_size_for(args.samples,
-                                                            args.dataset_shards),
-                                  metadata=metadata,
-                                  payload=args.shard_payload) as writer:
-            count = generate_dataset(topology, config, writer=writer)
-        reader = ShardedDatasetReader(args.output)
-        attach_normalizer(args.output, FeatureNormalizer().fit(reader))
-        print(f"wrote {count} samples to {args.output} "
-              f"({reader.num_shards} shards)")
-        return 0
-    samples = generate_dataset(topology, config)
-    normalizer = FeatureNormalizer().fit(samples)
-    path = save_dataset(samples, args.output, normalizer=normalizer,
-                        metadata=metadata)
-    print(f"wrote {len(samples)} samples to {path}")
-    return 0
-
-
-def _generate_via_factory(args: argparse.Namespace) -> int:
-    """Factory-mode generation: job spec → resumable worker farm → catalog.
+    """Generation: job spec → resumable run of its work units → catalog.
 
     The spec is derived entirely from the CLI arguments, so re-running the
-    same command line with ``--resume`` always addresses the same catalog
-    (each unit's samples come from ``default_rng([seed, unit_index])`` —
-    the documented factory seed semantics, not the legacy serial stream).
+    same command line with ``--resume`` always addresses the same catalog;
+    each unit's samples come from ``default_rng([seed, unit_index])``.
     """
     topology_name = (f"random:{args.random_nodes}" if args.topology == "random"
                      else args.topology)
     spec = DatasetJobSpec(
         topologies=(topology_name,),
         samples_per_scenario=args.samples,
-        unit_size=args.unit_size if args.unit_size is not None else 32,
+        unit_size=args.unit_size,
         seed=args.seed,
         base_config={"small_queue_fraction": args.small_queue_fraction,
                      "backend": args.backend},
-        payload=args.shard_payload,
     )
 
     def progress(unit_index: int, completed: int, scheduled: int) -> None:

@@ -12,11 +12,13 @@ produce samples:
   to produce the training volumes the benchmarks need.
 
 :mod:`repro.datasets.tensorize` converts samples into the index/feature
-arrays the RouteNet models consume, and :mod:`repro.datasets.storage`
-persists datasets to disk — either as one gzipped JSON blob (format 1) or
-as a :mod:`sharded <repro.datasets.sharded>` store of gzipped JSONL shards
-(format 2) that :mod:`repro.datasets.prefetch` streams batches out of for
-out-of-core training.
+arrays the RouteNet models consume.  Datasets on disk are
+:mod:`sharded <repro.datasets.sharded>` stores of binary npz shards
+(format 3), written by :mod:`repro.datasets.storage` and, resumably and in
+parallel, by the :mod:`dataset factory <repro.datasets.factory>`;
+:mod:`repro.datasets.prefetch` streams batches out of them for out-of-core
+training.  Gzipped JSON blobs (format 1) and gzipped-JSONL stores
+(format 2) from older versions still load, but are no longer written.
 """
 
 from repro.datasets.sample import Sample

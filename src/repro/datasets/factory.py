@@ -1,10 +1,8 @@
 """Dataset factory: job-spec-driven, resumable, multi-process generation.
 
-The monolithic ``DatasetGenerator.iter_samples`` loop generates one sample
-at a time from one config — fine for benchmarks, hopeless for the
-million-scenario sweeps the ROADMAP calls for now that the trainer is an
-order of magnitude faster than the simulator feeding it.  This module
-refactors generation into four layers:
+The CLI's ``generate`` and every store-building caller generate through
+this module; :func:`~repro.datasets.generator.generate_dataset` remains as
+the in-memory list helper.  Generation is split into four layers:
 
 **Job spec** — :class:`DatasetJobSpec` declares a sweep: topologies ×
 :class:`~repro.datasets.generator.DatasetConfig` axes × a sample budget
@@ -12,9 +10,9 @@ per scenario.  :func:`expand_units` expands it *deterministically* into
 shard-sized :class:`WorkUnit`\\ s.  Each unit draws from its own derived
 RNG stream ``np.random.default_rng([job_seed, unit_index])``, so a unit's
 output depends only on the spec and its index — never on which worker ran
-it, in what order, or how many workers there were.  (This is the one
-seed-semantics difference from the legacy serial loop, which threads a
-single RNG through every sample.)
+it, in what order, or how many workers there were.  (``generate_dataset``
+instead threads a single RNG through every sample, so the same seed gives
+different samples there.)
 
 **Execution** — :func:`run_job` executes the pending units, either
 in-process or on a :class:`~repro.supervision.Farm` of worker processes.
@@ -36,7 +34,7 @@ The ``shards`` index lists completed units in unit order, so any
 whole training stack — reads a factory store unchanged, with a
 deterministic sample order regardless of worker count.
 
-**CLI** — ``repro-net generate --workers N --resume`` drives
+**CLI** — ``repro-net generate`` (``--workers N``, ``--resume``) drives
 :func:`run_job` and ``repro-net status`` prints :func:`job_status`.
 
 **Fault tolerance** — the farm is supervised (see :mod:`repro.supervision`):
@@ -72,11 +70,11 @@ from repro.datasets.generator import DatasetConfig, DatasetGenerator
 from repro.datasets.normalization import FeatureNormalizer
 from repro.datasets.sharded import (
     MANIFEST_NAME,
+    SHARD_EXTENSION,
     ShardedDatasetReader,
     _write_manifest,
     file_sha256,
     is_sharded_store,
-    shard_extension,
     write_shard,
 )
 from repro.supervision import Farm, Lost, Reply, SupervisionPolicy
@@ -184,9 +182,6 @@ class DatasetJobSpec:
     base_config:
         Fixed :class:`DatasetConfig` overrides shared by every scenario
         (e.g. ``{"backend": "simulation"}``).
-    payload:
-        Shard encoding of the units, ``"binary"`` (format 3) or
-        ``"jsonl"`` (format 2).
     """
 
     topologies: Sequence[str] = ("geant2",)
@@ -195,7 +190,6 @@ class DatasetJobSpec:
     seed: int = 0
     axes: Dict[str, Sequence] = dataclasses.field(default_factory=dict)
     base_config: Dict[str, object] = dataclasses.field(default_factory=dict)
-    payload: str = "binary"
 
     def __post_init__(self) -> None:
         self.topologies = tuple(self.topologies)
@@ -205,9 +199,6 @@ class DatasetJobSpec:
             raise ValueError("samples_per_scenario must be positive")
         if self.unit_size < 1:
             raise ValueError("unit_size must be at least 1")
-        if self.payload not in ("binary", "jsonl"):
-            raise ValueError(
-                f"payload must be 'binary' or 'jsonl', got {self.payload!r}")
         for field_name, values in self.axes.items():
             if field_name not in _CONFIG_FIELDS:
                 raise ValueError(
@@ -252,12 +243,18 @@ class DatasetJobSpec:
             "seed": self.seed,
             "axes": {name: list(values) for name, values in self.axes.items()},
             "base_config": dict(self.base_config),
-            "payload": self.payload,
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DatasetJobSpec":
-        return cls(**payload)
+    def from_dict(cls, record: dict) -> "DatasetJobSpec":
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Catalogs written while units could be JSONL shards record a
+        ``payload`` key as well; it names a shard encoding, not part of the
+        sweep, so it is ignored.
+        """
+        return cls(**{key: value for key, value in record.items()
+                      if key != "payload"})
 
     def fingerprint(self) -> str:
         """Canonical identity of the sweep — what resume matches against."""
@@ -336,8 +333,8 @@ def execute_unit(spec: DatasetJobSpec, unit: WorkUnit, path: str) -> dict:
         events_processed += int(sample.metadata.get("events_processed", 0))
         sim_wall_seconds += float(sample.metadata.get("sim_wall_seconds", 0.0))
         samples.append(sample)
-    name = unit.shard_name_stem + shard_extension(spec.payload)
-    record = write_shard(path, name, samples, payload=spec.payload)
+    name = unit.shard_name_stem + SHARD_EXTENSION
+    record = write_shard(path, name, samples)
     fault_point("factory.unit.committed", unit_index=unit.index,
                 path=os.path.join(path, name))
     return {
@@ -386,8 +383,7 @@ def _build_manifest(spec: DatasetJobSpec, units_state: List[dict],
         return record
 
     return {
-        "format_version": 3 if spec.payload == "binary" else 2,
-        "payload": spec.payload,
+        "format_version": 3,
         "metadata": dict(metadata) if metadata else {},
         "normalizer": normalizer.to_dict() if normalizer is not None else None,
         "total_samples": sum(state["written_samples"] for state in done),
@@ -399,6 +395,16 @@ def _build_manifest(spec: DatasetJobSpec, units_state: List[dict],
             "units": units_state,
         },
     }
+
+
+def _recorded_fingerprint(catalog: dict) -> Optional[str]:
+    """The fingerprint of the job a catalog records, as this version
+    computes it (so a catalog that still carries a ``payload`` key matches
+    its spec); None when the record is no single job spec (e.g. a merge)."""
+    try:
+        return DatasetJobSpec.from_dict(catalog["job"]).fingerprint()
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def _read_manifest(path: str) -> dict:
@@ -430,7 +436,7 @@ def _load_units_state(spec: DatasetJobSpec, path: str,
         raise ValueError(
             f"'{path}' holds a sharded store without a factory catalog; "
             "refusing to overwrite it (pick a new output directory)")
-    if catalog.get("fingerprint") != spec.fingerprint():
+    if _recorded_fingerprint(catalog) != spec.fingerprint():
         raise ValueError(
             f"'{path}' was generated from a different job spec; re-run with "
             "the original spec to top it up, or pick a new output directory")
@@ -927,8 +933,9 @@ def merge_catalogs(sources: Sequence[str], output: str,
     sequential unit names; their catalog records are preserved verbatim
     (plus ``source`` / ``source_index`` provenance), so the merged catalog
     still tells exactly which job, seed path and config produced every
-    shard.  Sources may mix payload encodings — the reader dispatches its
-    decoder per shard file — but **not** simulator versions: mixing
+    shard.  Sources may hold format-2 JSONL shards from older stores — the
+    reader dispatches its decoder per shard file — but **not** mix
+    simulator versions: mixing
     samples produced by different generator/simulator code would silently
     poison the merged store's provenance, so mismatched
     ``simulator_version`` values are refused with an error naming each
@@ -943,7 +950,6 @@ def merge_catalogs(sources: Sequence[str], output: str,
     merged_units: List[dict] = []
     shards: List[dict] = []
     jobs = []
-    payloads = set()
     versions = set()
     source_versions: List[Tuple[str, object]] = []
     for source in sources:
@@ -955,7 +961,6 @@ def merge_catalogs(sources: Sequence[str], output: str,
             raise ValueError(
                 f"'{source}' is a sharded store without a factory catalog; "
                 "only factory stores carry the provenance a merge preserves")
-        payloads.add(manifest.get("payload"))
         versions.add(catalog.get("simulator_version"))
         if len(versions) > 1:
             raise ValueError(
@@ -989,10 +994,8 @@ def merge_catalogs(sources: Sequence[str], output: str,
             shards.append(shard)
     if not merged_units:
         raise ValueError("no completed units found in the source stores")
-    payload = payloads.pop() if len(payloads) == 1 else "mixed"
     manifest = {
-        "format_version": 2 if payload == "jsonl" else 3,
-        "payload": payload,
+        "format_version": 3,
         "metadata": {"merged_from": [job["source"] for job in jobs]},
         "normalizer": None,
         "total_samples": sum(shard["num_samples"] for shard in shards),

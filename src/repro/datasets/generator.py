@@ -11,7 +11,7 @@ simulation) for the per-path delays.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -114,39 +114,11 @@ class DatasetGenerator:
                 mean_packet_size_bits=self.config.mean_packet_size_bits)
 
     # ------------------------------------------------------------------ #
-    def generate(self, progress: Optional[Callable[[int, int], None]] = None) -> List[Sample]:
-        """Generate ``config.num_samples`` samples."""
-        return list(self.iter_samples(progress=progress))
-
-    def iter_samples(self, progress: Optional[Callable[[int, int], None]] = None
-                     ) -> Iterator[Sample]:
-        """Yield ``config.num_samples`` samples one at a time.
-
-        The lazy core of :meth:`generate`: nothing is retained between
-        samples, so arbitrarily large sweeps can be streamed straight to a
-        :class:`~repro.datasets.sharded.ShardedDatasetWriter` (see
-        :meth:`generate_to`) without the list ever existing.
-        """
+    def generate(self) -> List[Sample]:
+        """Generate ``config.num_samples`` samples from one RNG stream
+        seeded with ``config.seed``."""
         rng = np.random.default_rng(self.config.seed)
-        for index in range(self.config.num_samples):
-            yield self.generate_one(rng)
-            if progress is not None:
-                progress(index + 1, self.config.num_samples)
-
-    def generate_to(self, writer,
-                    progress: Optional[Callable[[int, int], None]] = None) -> int:
-        """Stream the sweep into a sharded dataset writer; return the count.
-
-        ``writer`` is anything with a ``write(sample)`` method (typically a
-        :class:`~repro.datasets.sharded.ShardedDatasetWriter`).  Identical
-        sample stream to :meth:`generate` — same seed, same order — but with
-        O(1) samples live.
-        """
-        count = 0
-        for sample in self.iter_samples(progress=progress):
-            writer.write(sample)
-            count += 1
-        return count
+        return [self.generate_one(rng) for _ in range(self.config.num_samples)]
 
     def generate_one(self, rng: np.random.Generator) -> Sample:
         """Generate a single sample using the provided random generator."""
@@ -179,16 +151,13 @@ class DatasetGenerator:
         return sample
 
 
-def generate_dataset(base_topology: Topology, config: Optional[DatasetConfig] = None,
-                     progress: Optional[Callable[[int, int], None]] = None,
-                     writer=None):
-    """Convenience wrapper around :class:`DatasetGenerator`.
+def generate_dataset(base_topology: Topology,
+                     config: Optional[DatasetConfig] = None) -> List[Sample]:
+    """Generate a list of samples with :class:`DatasetGenerator`.
 
-    Returns the list of generated samples — unless ``writer`` is given, in
-    which case the samples are streamed straight into it (never held as a
-    list) and the number written is returned instead.
+    The samples draw from one RNG stream seeded with ``config.seed``.  The
+    dataset factory (:func:`repro.datasets.factory.run_job`, behind the
+    CLI's ``generate``) seeds every work unit on its own instead, so the
+    two give different samples for the same seed.
     """
-    generator = DatasetGenerator(base_topology, config)
-    if writer is not None:
-        return generator.generate_to(writer, progress=progress)
-    return generator.generate(progress=progress)
+    return DatasetGenerator(base_topology, config).generate()

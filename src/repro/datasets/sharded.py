@@ -1,37 +1,35 @@
-"""Sharded on-disk dataset store: JSONL or binary npz shards plus a manifest.
+"""Sharded on-disk dataset store: binary npz shards plus a manifest.
 
-Formats 2 and 3 of the dataset storage layer (format 1 is the single
-``.json.gz`` blob of :mod:`repro.datasets.storage`).  A sharded store is a
-*directory*::
-
-    store/
-      manifest.json          <- format_version 2 or 3, shard index, normalizer
-      shard-00000.jsonl.gz   <- format 2: one JSON-encoded Sample dict per line
-      shard-00001.jsonl.gz
-      ...
-
-or, with ``payload="binary"`` (manifest ``format_version`` 3)::
+Format 3 of the dataset storage layer, and the only format this package
+writes.  A sharded store is a *directory*::
 
     store/
-      manifest.json
-      shard-00000.npz        <- format 3: raw index/float arrays per sample
+      manifest.json          <- format_version 3, shard index, normalizer
+      shard-00000.npz        <- raw index/float arrays per sample
       shard-00001.npz
       ...
 
-The binary payload stores every sample as a handful of typed arrays
-(routing as offsets into one flat node-id vector, traffic as the dense
-float64 matrix, targets verbatim) plus one small JSON string for the
-non-array attributes, so streamed epochs read samples with **zero JSON
-parsing of numeric data** — ``np.load`` hands the arrays straight back.
-Round trips are bit-exact in both formats (JSON floats survive via repr).
+Every sample is stored as a handful of typed arrays (routing as offsets
+into one flat node-id vector, traffic as the dense float64 matrix, targets
+verbatim) plus one small JSON string for the non-array attributes, so
+streamed epochs read samples with **zero JSON parsing of numeric data** —
+``np.load`` hands the arrays straight back, and round trips are bit-exact.
+
+Stores written before format 3 still read: a format-2 manifest lists
+gzipped-JSONL shards (``.jsonl.gz``, one JSON-encoded Sample dict per
+line), and :class:`ShardedDatasetReader` picks the decoder per shard file
+by its extension, so a store may hold both kinds (a factory store of the
+JSONL era topped up or merged with format-3 units).  Format 1 is the
+single ``.json.gz`` blob that :func:`repro.datasets.storage.load_dataset`
+reads.
 
 Samples are written **incrementally** (rolling over to a new shard every
-``shard_size`` samples), so arbitrarily large datasets can be generated and
-persisted without ever materialising the sample list — and read back the
-same way: :class:`ShardedDatasetReader` is an iterable that decodes one
-sample at a time, which is what the streaming training pipeline
-(:mod:`repro.datasets.prefetch`) consumes to run epochs in O(window) memory
-instead of O(dataset).
+``shard_size`` samples), so large datasets can be persisted without ever
+materialising the sample list — and read back the same way:
+:class:`ShardedDatasetReader` is an iterable that decodes one sample at a
+time, which is what the streaming training pipeline
+(:mod:`repro.datasets.prefetch`) consumes to run epochs in O(window)
+memory instead of O(dataset).
 
 Crash safety mirrors the trainer's checkpointing: every shard is written to
 a ``.tmp`` name and :func:`os.replace`-d into place when complete, and the
@@ -47,9 +45,8 @@ over the finished ``.tmp`` bytes and stamped into its manifest record, and
 :class:`ShardedDatasetReader` re-hashes each shard the first time it reads
 it (per reader instance), refusing silently rotten bytes with an error
 naming the file and both digests.  Shard bytes are deterministic functions
-of their samples in both payloads (JSONL shards are gzipped with a fixed
-mtime and no embedded filename; npz archives carry no timestamps), which
-is what lets the fault-tolerance tests assert byte-identical stores across
+of their samples (npz archives carry no timestamps), which is what lets
+the fault-tolerance tests assert byte-identical stores across
 crash/recover runs.
 """
 
@@ -61,6 +58,7 @@ import io
 import json
 import math
 import os
+import shutil
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -80,12 +78,16 @@ __all__ = [
     "attach_normalizer",
     "is_sharded_store",
     "shard_size_for",
-    "shard_extension",
+    "SHARD_EXTENSION",
     "write_shard",
     "file_sha256",
 ]
 
 MANIFEST_NAME = "manifest.json"
+
+#: File extension of a format-3 shard; the reader decodes any other shard
+#: (``.jsonl.gz``) as format-2 JSONL.
+SHARD_EXTENSION = ".npz"
 
 SUPPORTED_FORMAT_VERSIONS = (2, 3)
 
@@ -184,71 +186,18 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _open_deterministic_gzip_text(path: str):
-    """Open ``path`` for gzipped text writing with byte-deterministic output.
-
-    Plain ``gzip.open`` embeds the current mtime (and, given a filename, the
-    name itself) in the gzip header, so two writes of identical samples
-    differ at the byte level.  Pinning ``mtime=0`` over an anonymous
-    ``fileobj`` makes shard bytes a pure function of their contents — the
-    property the checksum layer and the crash-recovery tests lean on.
-    """
-    raw = open(path, "wb")
-    try:
-        compressed = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0)
-    except Exception:
-        raw.close()
-        raise
-    text = io.TextIOWrapper(compressed, encoding="utf-8")
-    # Closing the TextIOWrapper closes the GzipFile but not the raw file;
-    # chain it so one close() releases all three layers.
-    original_close = text.close
-
-    def close_all() -> None:
-        original_close()
-        if not compressed.closed:
-            compressed.close()
-        if not raw.closed:
-            raw.close()
-
-    text.close = close_all  # type: ignore[method-assign]
-    return text
-
-
-def _commit_shard(directory: str, name: str) -> str:
-    """Hash the finished ``.tmp`` shard and rename it into place.
-
-    Returns the shard's hex SHA-256 (of exactly the bytes that now live
-    under the final name).  The :func:`fault_point` lets the chaos suite
-    kill the writer *between* finishing the bytes and the rename — the
-    window where crash atomicity is earned.
-    """
-    temporary = os.path.join(directory, name + ".tmp")
-    digest = file_sha256(temporary)
-    fault_point("sharded.shard.pre_replace", name=name)
-    os.replace(temporary, os.path.join(directory, name))
-    return digest
-
-
-def shard_extension(payload: str) -> str:
-    """File extension of one shard in the given payload encoding."""
-    if payload == "binary":
-        return ".npz"
-    if payload == "jsonl":
-        return ".jsonl.gz"
-    raise ValueError(f"payload must be 'jsonl' or 'binary', got {payload!r}")
-
-
-def _write_binary_shard(directory: str, name: str,
-                        encoded: List[Tuple[dict, str]]) -> str:
-    """Atomically write one format-3 npz shard from encoded samples.
+def _write_encoded_shard(directory: str, name: str,
+                         encoded: List[Tuple[dict, str]]) -> dict:
+    """Atomically write one npz shard from encoded samples.
 
     One npz archive per shard: sample ``i``'s arrays live under the key
     prefix ``s{i:05d}.`` and the per-sample JSON strings stack into one
-    unicode "meta" array (also the sample count).  Written to a ``.tmp``
-    name and :func:`os.replace`-d into place, so a killed writer never
-    leaves a partially written shard under the final name.  Returns the
-    committed shard's hex SHA-256.
+    unicode "meta" array (also the sample count).  The archive is written
+    to a ``.tmp`` name, hashed, and :func:`os.replace`-d into place, so a
+    killed writer never leaves a partially written shard under the final
+    name; the :func:`fault_point` lets the chaos suite kill the writer
+    *between* finishing the bytes and the rename — the window where crash
+    atomicity is earned.  Returns the shard's manifest record.
     """
     temporary = os.path.join(directory, name + ".tmp")
     archive = {}
@@ -261,41 +210,31 @@ def _write_binary_shard(directory: str, name: str,
     archive["meta"] = np.array(metas)
     with open(temporary, "wb") as handle:
         np.savez(handle, **archive)
-    return _commit_shard(directory, name)
+    digest = file_sha256(temporary)
+    fault_point("sharded.shard.pre_replace", name=name)
+    os.replace(temporary, os.path.join(directory, name))
+    return {"name": name, "num_samples": len(encoded), "sha256": digest}
 
 
-def write_shard(directory: str, name: str, samples, payload: str = "binary") -> dict:
+def write_shard(directory: str, name: str, samples) -> dict:
     """Write one complete, self-contained shard file atomically.
 
-    The shard-write kernel shared by :class:`ShardedDatasetWriter` (which
-    rolls shards as samples stream in) and the dataset factory (whose
-    worker processes each commit one whole work unit as one shard).  The
-    file appears under ``directory/name`` only when fully written (temp +
+    The dataset factory's shard-write kernel: its worker processes each
+    commit one whole work unit as one shard (:class:`ShardedDatasetWriter`
+    rolls its shards through the same encoded-shard writer).  The file
+    appears under ``directory/name`` only when fully written (temp +
     ``os.replace``), so concurrent writers of *different* names never
     interfere and a killed writer leaves at worst a ``.tmp`` residue.
 
     Returns the shard's manifest record
-    ``{"name": ..., "num_samples": ..., "sha256": ...}``.
-    ``name`` must carry the extension matching ``payload`` (see
-    :func:`shard_extension`) — the reader dispatches its decoder on it.
+    ``{"name": ..., "num_samples": ..., "sha256": ...}``.  ``name`` must
+    end in :data:`SHARD_EXTENSION` — the reader dispatches its decoder on
+    the extension.
     """
-    extension = shard_extension(payload)
-    if not name.endswith(extension):
-        raise ValueError(
-            f"shard name '{name}' does not match payload '{payload}' "
-            f"(expected the '{extension}' extension)")
-    samples = list(samples)
-    if payload == "binary":
-        digest = _write_binary_shard(
-            directory, name, [_encode_sample(s) for s in samples])
-    else:
-        temporary = os.path.join(directory, name + ".tmp")
-        with _open_deterministic_gzip_text(temporary) as handle:
-            for sample in samples:
-                json.dump(sample.to_dict(), handle)
-                handle.write("\n")
-        digest = _commit_shard(directory, name)
-    return {"name": name, "num_samples": len(samples), "sha256": digest}
+    if not name.endswith(SHARD_EXTENSION):
+        raise ValueError(f"shard name '{name}' must end in '{SHARD_EXTENSION}'")
+    return _write_encoded_shard(directory, name,
+                                [_encode_sample(s) for s in samples])
 
 
 def is_sharded_store(path: str) -> bool:
@@ -333,12 +272,6 @@ class ShardedDatasetWriter:
         readable.
     shard_size:
         Samples per shard (the last shard may be smaller).
-    payload:
-        Shard encoding: ``"jsonl"`` (default) writes format-2 gzipped-JSONL
-        shards; ``"binary"`` writes format-3 ``.npz`` shards whose samples
-        are typed arrays that load back with zero JSON parsing of numeric
-        data (the fast path for streamed epochs).  The manifest records the
-        choice as ``format_version`` 2 / 3 plus a ``payload`` key.
     normalizer / metadata:
         Stored in the manifest.  The normaliser can also be attached after
         the fact with :meth:`set_normalizer` (before :meth:`close`) or
@@ -346,30 +279,24 @@ class ShardedDatasetWriter:
         streaming over the already-written store.
 
     Use as a context manager: a clean exit finalises the manifest, an
-    exception aborts without one (a fresh store stays invisible to readers,
-    an existing one keeps its previous contents).
+    exception aborts without one (a fresh store disappears, an existing one
+    keeps its previous contents).
     """
 
     def __init__(self, path: str, shard_size: int = 256,
                  normalizer: Optional[FeatureNormalizer] = None,
-                 metadata: Optional[dict] = None,
-                 payload: str = "jsonl") -> None:
+                 metadata: Optional[dict] = None) -> None:
         if shard_size < 1:
             raise ValueError("shard_size must be at least 1")
-        if payload not in ("jsonl", "binary"):
-            raise ValueError(
-                f"payload must be 'jsonl' or 'binary', got {payload!r}")
         self.path = path
         self.shard_size = shard_size
-        self.payload = payload
         self._normalizer = normalizer
         self._metadata = dict(metadata) if metadata else {}
         self._shards: List[dict] = []
-        self._handle = None
-        #: Encoded (arrays, meta) of the open binary shard's samples.
+        #: Encoded (arrays, meta) of the open shard's samples.
         self._pending: List[Tuple[dict, str]] = []
-        self._current_count = 0
         self._closed = False
+        self._created_directory = not os.path.exists(path)
         os.makedirs(path, exist_ok=True)
         # When a committed store already lives here, the new generation's
         # shards get a unique name prefix so they can never collide with a
@@ -385,7 +312,7 @@ class ShardedDatasetWriter:
     def num_samples(self) -> int:
         """Samples written so far (including the open shard)."""
         return (sum(shard["num_samples"] for shard in self._shards)
-                + self._current_count)
+                + len(self._pending))
 
     def set_normalizer(self, normalizer: Optional[FeatureNormalizer]) -> None:
         """Set the normaliser recorded in the manifest at :meth:`close`."""
@@ -393,54 +320,23 @@ class ShardedDatasetWriter:
 
     # ------------------------------------------------------------------ #
     def _shard_name(self) -> str:
-        return (f"{self._name_prefix}{len(self._shards):05d}"
-                f"{shard_extension(self.payload)}")
-
-    def _open_shard(self) -> None:
-        temporary = os.path.join(self.path, self._shard_name() + ".tmp")
-        self._handle = _open_deterministic_gzip_text(temporary)
-        self._current_count = 0
+        return f"{self._name_prefix}{len(self._shards):05d}{SHARD_EXTENSION}"
 
     def _seal_shard(self) -> None:
-        """Write out / close the open shard and rename it into its final place."""
-        if self.payload == "binary":
-            if not self._pending:
-                return
-            name = self._shard_name()
-            digest = _write_binary_shard(self.path, name, self._pending)
-            self._shards.append({"name": name,
-                                 "num_samples": len(self._pending),
-                                 "sha256": digest})
+        """Write out the open shard and rename it into its final place."""
+        if self._pending:
+            self._shards.append(_write_encoded_shard(
+                self.path, self._shard_name(), self._pending))
             self._pending = []
-            self._current_count = 0
-            return
-        if self._handle is None:
-            return
-        self._handle.close()
-        self._handle = None
-        name = self._shard_name()
-        digest = _commit_shard(self.path, name)
-        self._shards.append({"name": name,
-                             "num_samples": self._current_count,
-                             "sha256": digest})
-        self._current_count = 0
 
     def write(self, sample: Sample) -> None:
         """Append one sample (shards roll automatically every ``shard_size``)."""
         if self._closed:
             raise RuntimeError("writer is closed")
-        if self.payload == "binary":
-            # Encoded immediately (errors surface at write time and the
-            # Sample object is not retained), written out at shard roll.
-            self._pending.append(_encode_sample(sample))
-            self._current_count += 1
-        else:
-            if self._handle is None:
-                self._open_shard()
-            json.dump(sample.to_dict(), self._handle)
-            self._handle.write("\n")
-            self._current_count += 1
-        if self._current_count >= self.shard_size:
+        # Encoded immediately (errors surface at write time and the Sample
+        # object is not retained), written out at shard roll.
+        self._pending.append(_encode_sample(sample))
+        if len(self._pending) >= self.shard_size:
             self._seal_shard()
 
     def close(self) -> str:
@@ -453,14 +349,9 @@ class ShardedDatasetWriter:
         """
         if self._closed:
             return self.path
-        if self._current_count > 0:
-            self._seal_shard()
-        elif self._handle is not None:  # opened but empty (cannot happen today)
-            self._handle.close()
-            self._handle = None
+        self._seal_shard()
         manifest = {
-            "format_version": 3 if self.payload == "binary" else 2,
-            "payload": self.payload,
+            "format_version": 3,
             "metadata": self._metadata,
             "normalizer": (self._normalizer.to_dict()
                            if self._normalizer is not None else None),
@@ -483,25 +374,23 @@ class ShardedDatasetWriter:
     def abort(self) -> None:
         """Drop everything this writer produced; commit nothing.
 
-        The in-progress ``.tmp`` and any shards this writer already sealed
-        are removed; a pre-existing store (manifest and its shards) is left
+        A store directory this writer created is removed whole.  Otherwise
+        the shards this writer sealed and its in-progress ``.tmp`` are
+        removed, and a pre-existing store (manifest and its shards) is left
         exactly as it was.
         """
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            try:
-                os.remove(os.path.join(self.path, self._shard_name() + ".tmp"))
-            except OSError:
-                pass
         self._pending = []
-        for shard in self._shards:
+        self._closed = True
+        if self._created_directory:
+            shutil.rmtree(self.path, ignore_errors=True)
+            return
+        for name in [shard["name"] for shard in self._shards] + [
+                self._shard_name() + ".tmp"]:
             try:
-                os.remove(os.path.join(self.path, shard["name"]))
+                os.remove(os.path.join(self.path, name))
             except OSError:
                 pass
         self._shards = []
-        self._closed = True
 
     def __enter__(self) -> "ShardedDatasetWriter":
         return self
@@ -518,9 +407,10 @@ class ShardedDatasetReader:
 
     The reader is a sized iterable: ``len(reader)`` is the manifest's total
     and every ``iter(reader)`` starts a fresh pass over the shards (one pass
-    per training epoch).  Iteration parses one JSONL line into a
-    :class:`Sample` at a time, so only O(1) samples are ever live — the
-    property the out-of-core training path is built on.
+    per training epoch).  Iteration decodes one :class:`Sample` at a time
+    (an npz shard's arrays, or one line of a format-2 JSONL shard), so only
+    O(1) samples are ever live — the property the out-of-core training path
+    is built on.
 
     With ``verify_checksums=True`` (the default) each shard's bytes are
     re-hashed the **first** time this reader instance touches it and
@@ -597,7 +487,7 @@ class ShardedDatasetReader:
         for shard in self._manifest["shards"]:
             shard_path = os.path.join(self.path, shard["name"])
             source = self._checked_source(shard, shard_path)
-            if shard["name"].endswith(".npz"):
+            if shard["name"].endswith(SHARD_EXTENSION):
                 count = yield from self._iter_binary_shard(source)
             else:
                 count = yield from self._iter_jsonl_shard(source)

@@ -1,14 +1,12 @@
 """Persisting datasets (samples plus their normaliser) to disk.
 
-Two formats share this entry point:
+:func:`save_dataset` writes one format: a format-3 sharded store directory
+(binary npz shards plus a manifest, see :mod:`repro.datasets.sharded`).
+:func:`load_dataset` reads it and both older formats, which nothing here
+writes any more:
 
 * **format 1** — one gzipped JSON file (``.json.gz``) holding every sample;
-  the historical format, still read and written.
-* **formats 2 and 3** — a sharded store directory (see
-  :mod:`repro.datasets.sharded`): gzipped-JSONL (2) or binary npz (3)
-  shards plus a manifest, written and read incrementally.
-  ``save_dataset(..., shards=N)`` writes one (``shard_payload="binary"``
-  selects format 3); :func:`load_dataset` transparently reads any format.
+* **format 2** — a sharded store of gzipped-JSONL shards.
 """
 
 from __future__ import annotations
@@ -33,72 +31,33 @@ __all__ = ["save_dataset", "load_dataset"]
 def save_dataset(samples: Iterable[Sample], path: str,
                  normalizer: Optional[FeatureNormalizer] = None,
                  metadata: Optional[dict] = None,
-                 shards: Optional[int] = None,
-                 shard_payload: str = "binary") -> str:
-    """Write samples (and optionally their normaliser) to disk.
+                 shards: int = 1) -> str:
+    """Write samples (and optionally their normaliser) as a store at ``path``.
 
-    With ``shards=None`` (default) this writes the format-1 single
-    ``.json.gz`` file (suffix appended when missing).  Sample dicts are
-    streamed to the gzip handle one at a time — the full serialised payload
-    never exists in memory — and the file is written to a temporary name
-    and :func:`os.replace`-d into place, so a crashed save never leaves a
-    truncated dataset where a good one used to be (the same atomic-write
-    contract as the trainer's ``save_checkpoint``).
-
-    With ``shards=N`` the samples are spread over a sharded store directory
-    at ``path`` (no suffix; see :class:`~repro.datasets.sharded.
-    ShardedDatasetWriter`), which :func:`load_dataset` and the streaming
-    training path both read; ``shard_payload`` picks the shard encoding
-    (``"binary"`` — the default — is the zero-parse format-3 npz payload,
-    ``"jsonl"`` the human-greppable format 2).
+    The samples are spread over ``shards`` shard files of a sharded store
+    directory (see :class:`~repro.datasets.sharded.ShardedDatasetWriter`),
+    which :func:`load_dataset` and the streaming training path both read.
+    The manifest is written last, so a failed save never leaves a store
+    that reads back truncated, and a rewrite keeps the previous store
+    readable until it commits.
 
     Returns the path written.
     """
-    if shards is not None:
-        # Spreading over exactly N shards needs the sample count up front;
-        # sized inputs (lists, readers) are used as-is, only unsized
-        # iterators are buffered.  For a truly unbounded stream drive a
-        # ShardedDatasetWriter with a fixed shard_size directly instead.
-        try:
-            count = len(samples)
-        except TypeError:
-            samples = list(samples)
-            count = len(samples)
-        with ShardedDatasetWriter(path,
-                                  shard_size=shard_size_for(count, shards),
-                                  normalizer=normalizer,
-                                  metadata=metadata,
-                                  payload=shard_payload) as writer:
-            for sample in samples:
-                writer.write(sample)
-        return writer.path
-
-    if not path.endswith(".json.gz"):
-        path = path + ".json.gz"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    temporary = path + ".tmp"
+    # Spreading over exactly N shards needs the sample count up front;
+    # sized inputs (lists, readers) are used as-is, only unsized iterators
+    # are buffered.  For a truly unbounded stream drive a
+    # ShardedDatasetWriter with a fixed shard_size directly instead.
     try:
-        with gzip.open(temporary, "wt", encoding="utf-8") as handle:
-            handle.write('{"format_version": 1, "metadata": ')
-            json.dump(metadata or {}, handle)
-            handle.write(', "normalizer": ')
-            json.dump(normalizer.to_dict() if normalizer is not None else None,
-                      handle)
-            handle.write(', "samples": [')
-            for index, sample in enumerate(samples):
-                if index:
-                    handle.write(", ")
-                json.dump(sample.to_dict(), handle)
-            handle.write("]}")
-    except BaseException:
-        # Never leave a half-written temp file behind a failed save.
-        try:
-            os.remove(temporary)
-        except OSError:
-            pass
-        raise
-    os.replace(temporary, path)
-    return path
+        count = len(samples)
+    except TypeError:
+        samples = list(samples)
+        count = len(samples)
+    with ShardedDatasetWriter(path, shard_size=shard_size_for(count, shards),
+                              normalizer=normalizer,
+                              metadata=metadata) as writer:
+        for sample in samples:
+            writer.write(sample)
+    return writer.path
 
 
 def _resolve_dataset_path(path: str) -> str:
@@ -128,7 +87,7 @@ def _resolve_dataset_path(path: str) -> str:
 
 
 def load_dataset(path: str) -> Tuple[List[Sample], Optional[FeatureNormalizer], dict]:
-    """Load a dataset written by :func:`save_dataset` (either format).
+    """Load a dataset in any of the three formats.
 
     Returns ``(samples, normalizer_or_None, metadata)``.  Sharded stores
     are materialised in full here — for out-of-core training iterate a

@@ -405,8 +405,9 @@ class RouteNetTrainer:
                 raise ValueError(
                     f"'{dataset_path}' is not a sharded dataset store; "
                     "out-of-core training streams shards — write one with "
-                    "save_dataset(..., shards=N) or a ShardedDatasetWriter, "
-                    "or load_dataset() it and pass train_samples instead")
+                    "save_dataset(), a ShardedDatasetWriter or 'repro-net "
+                    "generate', or load_dataset() it and pass train_samples "
+                    "instead")
             reader = ShardedDatasetReader(dataset_path)
             samples_per_epoch = len(reader)
             if samples_per_epoch == 0:

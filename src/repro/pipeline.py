@@ -18,16 +18,10 @@ quickstart example and the smoke tests.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.datasets.factory import DatasetJobSpec, run_job
 from repro.datasets.generator import DatasetConfig, generate_dataset
-from repro.datasets.sample import Sample
-from repro.datasets.sharded import ShardedDatasetReader
 from repro.datasets.splits import train_val_test_split
 from repro.evaluation.cdf import ErrorCDF, compare_cdfs
 from repro.evaluation.report import format_cdf_table
@@ -84,9 +78,6 @@ def run_fig2_experiment(
     seed: int = 0,
     backend: str = "analytic",
     utilization_range=(0.35, 0.8),
-    dataset_store: Optional[str] = None,
-    dataset_workers: int = 1,
-    dataset_unit_size: int = 16,
 ) -> ExperimentResult:
     """Train both models and evaluate them on seen and unseen topologies.
 
@@ -113,30 +104,7 @@ def run_fig2_experiment(
         backend=backend,
         seed=seed,
     )
-    if dataset_store is not None:
-        # Factory-backed dataset: the primary sweep runs as a resumable
-        # job into `dataset_store` — interrupted experiments pick their
-        # generation up where it stopped, and `dataset_workers` farms the
-        # simulation out across processes.  Requires a factory-resolvable
-        # topology name (the default GEANT2 qualifies); sample content
-        # follows the factory's per-unit seed derivation, not the legacy
-        # serial stream, so it differs from the in-memory default path.
-        spec = DatasetJobSpec(
-            topologies=(train_topology.name,),
-            samples_per_scenario=num_train_samples + num_eval_samples,
-            unit_size=dataset_unit_size,
-            seed=seed,
-            base_config={
-                "small_queue_fraction": small_queue_fraction,
-                "utilization_range": tuple(utilization_range),
-                "backend": backend,
-            },
-        )
-        run_job(spec, dataset_store, workers=dataset_workers,
-                resume=os.path.exists(os.path.join(dataset_store, "manifest.json")))
-        primary_samples = ShardedDatasetReader(dataset_store).read_all()
-    else:
-        primary_samples = generate_dataset(train_topology, dataset_config)
+    primary_samples = generate_dataset(train_topology, dataset_config)
     train_samples, val_samples, test_samples = train_val_test_split(
         primary_samples,
         train_fraction=num_train_samples / len(primary_samples),

@@ -42,9 +42,12 @@ _SOURCE_CLASSES = {
 class SimulationConfig:
     """Run-control parameters of a packet-level simulation.
 
-    ``flow_priorities`` optionally maps ``(source, destination)`` pairs to a
-    traffic class (0 = highest priority); it only affects nodes whose
-    scheduling discipline is ``"priority"``.
+    ``exponential_packet_sizes`` draws each packet's size from an
+    exponential distribution around ``mean_packet_size_bits`` for Poisson
+    and on-off sources; CBR sources always send packets of exactly the mean
+    size.  ``flow_priorities`` optionally maps ``(source, destination)``
+    pairs to a traffic class (0 = highest priority); it only affects nodes
+    whose scheduling discipline is ``"priority"``.
     """
 
     duration: float = 10.0

@@ -118,8 +118,8 @@ class ConstantBitRateSource(TrafficSource):
     """Deterministic arrivals at fixed intervals with fixed packet sizes."""
 
     def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("exponential_packet_sizes", False)
         super().__init__(*args, **kwargs)
+        self.exponential_packet_sizes = False
 
     def _schedule_next(self) -> None:
         if self._should_stop():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.datasets import (
     AnalyticGroundTruth,
     DatasetConfig,
-    DatasetGenerator,
     FeatureNormalizer,
     Sample,
     SimulationGroundTruth,
@@ -190,13 +189,6 @@ class TestDatasetGenerator:
                                utilization_range=(0.3, 0.4))
         sample = generate_dataset(ring_topology(4), config)[0]
         assert sample.metadata["generator"] == "packet-simulator"
-
-    def test_progress_callback(self):
-        calls = []
-        config = DatasetConfig(num_samples=3, seed=5)
-        DatasetGenerator(ring_topology(4), config).generate(
-            progress=lambda done, total: calls.append((done, total)))
-        assert calls == [(1, 3), (2, 3), (3, 3)]
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from repro.datasets import (
 from repro.datasets.factory import format_job_status, resolve_topology
 from repro.datasets.sharded import MANIFEST_NAME
 from repro.version import __version__
+from tests.datasets.legacy_formats import jsonl_factory_store, record_payload_in_catalog
 
 
 def spec_for(**overrides) -> DatasetJobSpec:
@@ -85,6 +86,13 @@ class TestJobSpec:
         spec = spec_for()
         rebuilt = DatasetJobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt.fingerprint() == spec.fingerprint()
+        # Older catalogs also record the shard encoding; it is not part of
+        # the sweep.
+        for payload in ("binary", "jsonl"):
+            recorded = dict(spec.to_dict(), payload=payload)
+            assert DatasetJobSpec.from_dict(recorded).fingerprint() == spec.fingerprint()
+        with pytest.raises(TypeError):
+            DatasetJobSpec(payload="binary")
 
     def test_invalid_axis_field_rejected(self):
         with pytest.raises(ValueError, match="not a sweepable"):
@@ -200,6 +208,33 @@ class TestResume:
         assert status["complete"]
         assert store_contents(path) == store_contents(reference_store)
 
+    @pytest.mark.parametrize("payload", ["binary", "jsonl"])
+    def test_store_with_a_payload_catalog_resumes(self, tmp_path, payload,
+                                                  reference_store):
+        """A store whose catalog records the shard encoding in its job spec
+        (as every factory store did before format 3 became the only write
+        format) resumes: only the missing units run, as npz shards."""
+        path = str(tmp_path / payload)
+        if payload == "jsonl":
+            jsonl_factory_store(spec_for(), path, limit=2)
+        else:
+            run_job(spec_for(), path, workers=1, limit=2)
+            record_payload_in_catalog(path, payload)
+        executed = []
+        final = run_job(spec_for(), path, workers=1, resume=True,
+                        progress=lambda index, done, total: executed.append(index))
+        assert executed == [2, 3, 4, 5]
+        assert final["complete"]
+        assert store_contents(path) == store_contents(reference_store)
+        with open(os.path.join(path, MANIFEST_NAME)) as handle:
+            manifest = json.load(handle)
+        assert manifest["format_version"] == 3
+        assert manifest["catalog"]["fingerprint"] == spec_for().fingerprint()
+        extension = ".jsonl.gz" if payload == "jsonl" else ".npz"
+        assert [s["name"] for s in manifest["shards"]] == \
+               [f"unit-00000{i}{extension}" for i in range(2)] \
+               + [f"unit-00000{i}.npz" for i in range(2, 6)]
+
     def test_resume_flag_required_and_spec_must_match(self, tmp_path):
         path = str(tmp_path / "guarded")
         run_job(spec_for(), path, workers=1, limit=1)
@@ -266,6 +301,20 @@ class TestMerge:
         assert units[7]["source"] == other
         assert units[7]["source_index"] == 1
         assert units[7]["seed_path"] == [17, 1]
+
+    def test_merge_reads_back_a_jsonl_era_store(self, tmp_path, reference_store):
+        older = jsonl_factory_store(spec_for(seed=17), str(tmp_path / "older"))
+        merged = str(tmp_path / "merged")
+        status = merge_catalogs([older, reference_store], merged)
+        assert status["complete"]
+        assert store_contents(merged) == (store_contents(older)
+                                          + store_contents(reference_store))
+        with open(os.path.join(merged, MANIFEST_NAME)) as handle:
+            manifest = json.load(handle)
+        assert manifest["format_version"] == 3
+        assert [s["name"] for s in manifest["shards"]] == \
+               [f"unit-{i:06d}.jsonl.gz" for i in range(6)] \
+               + [f"unit-{i:06d}.npz" for i in range(6, 12)]
 
     def test_merge_refuses_existing_store_and_plain_stores(self, tmp_path,
                                                            reference_store):

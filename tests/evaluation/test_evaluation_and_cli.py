@@ -83,12 +83,15 @@ class TestCLI:
         args = parser.parse_args(["generate", "--output", "x", "--samples", "5"])
         assert args.command == "generate"
         assert args.samples == 5
-        # The path scan and the data-parallel step each have one executor.
+        # The path scan and the data-parallel step each have one executor,
+        # and generate writes one dataset format.
         for argv in (["train", "--dataset", "d", "--output", "o", "--scan-mode", "stream"],
                      ["evaluate", "--dataset", "d", "--weights", "w", "--scan-mode", "stream"],
                      ["fig2", "--scan-mode", "stream"],
                      ["train", "--dataset", "d", "--output", "o", "--overlap"],
-                     ["fig2", "--overlap"]):
+                     ["fig2", "--overlap"],
+                     ["generate", "--output", "x", "--dataset-shards", "2"],
+                     ["generate", "--output", "x", "--shard-payload", "jsonl"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 

@@ -23,6 +23,7 @@ from repro.datasets import (
 )
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.topology import ring_topology
+from tests.datasets.legacy_formats import save_json_blob
 
 NUM_SAMPLES = 8
 
@@ -170,7 +171,7 @@ def test_fit_data_source_validation(samples, normalizer, store, tmp_path):
     with pytest.raises(ValueError, match="exactly one data source"):
         trainer.fit(samples, dataset_path=store)
     # A format-1 file cannot be streamed shard by shard.
-    format1 = save_dataset(samples[:2], str(tmp_path / "flat"))
+    format1 = save_json_blob(samples[:2], str(tmp_path / "flat"))
     with pytest.raises(ValueError, match="sharded"):
         trainer.fit(dataset_path=format1)
     empty = save_dataset([], str(tmp_path / "empty"), shards=1)

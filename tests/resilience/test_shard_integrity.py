@@ -13,6 +13,7 @@ from repro.datasets.sharded import MANIFEST_NAME, file_sha256, is_sharded_store
 from repro.supervision import RestartBudgetExceeded
 from repro.testing import faults
 from repro.testing.faults import ENV_PLAN
+from tests.datasets.legacy_formats import jsonl_factory_store
 
 
 def small_spec(**overrides) -> DatasetJobSpec:
@@ -54,7 +55,10 @@ def reference_store(tmp_path_factory):
 def test_reader_refuses_a_corrupted_shard_naming_it(tmp_path, payload,
                                                     shard_name):
     path = str(tmp_path / payload)
-    assert run_job(small_spec(payload=payload), path, workers=1)["complete"]
+    if payload == "jsonl":  # a store of the JSONL era: read, never written
+        jsonl_factory_store(small_spec(), path)
+    else:
+        assert run_job(small_spec(), path, workers=1)["complete"]
     assert store_contents(path)  # pristine store reads (and verifies) fine
 
     faults._corrupt_file(os.path.join(path, shard_name))

@@ -11,6 +11,9 @@ models.  Every run is followed packet by packet:
   they were created.  A flow follows one path of FIFO queues and constant
   propagation delays, so no packet can overtake another of its flow; the
   link's in-flight FIFO relies on exactly this.
+
+The ledger also checks, packet by packet, that a CBR source sends every
+packet at exactly the configured mean size.
 """
 
 from collections import Counter, defaultdict
@@ -43,6 +46,10 @@ class _LedgerSimulation(NetworkSimulation):
         return super().run()
 
     def _inject(self, packet):
+        if self.config.source_model == "cbr":
+            # CBR sources send fixed sizes whatever the config's
+            # exponential_packet_sizes says.
+            assert packet.size_bits == self.config.mean_packet_size_bits
         self.created.append(packet)
         super()._inject(packet)
         if packet.dropped:  # the first link's queue was full
