@@ -16,9 +16,10 @@ arrays the RouteNet models consume.  Datasets on disk are
 :mod:`sharded <repro.datasets.sharded>` stores of binary npz shards
 (format 3), written by :mod:`repro.datasets.storage` and, resumably and in
 parallel, by the :mod:`dataset factory <repro.datasets.factory>`;
-:mod:`repro.datasets.prefetch` streams batches out of them for out-of-core
-training.  Gzipped JSON blobs (format 1) and gzipped-JSONL stores
-(format 2) from older versions still load, but are no longer written.
+:mod:`repro.datasets.prefetch` plans, merges and queues every training
+epoch's batches, from memory or streamed out of a store.  Gzipped JSON
+blobs (format 1) and gzipped-JSONL stores (format 2) from older versions
+still load, but are no longer written.
 """
 
 from repro.datasets.sample import Sample
@@ -27,7 +28,7 @@ from repro.datasets.simulation import SimulationGroundTruth
 from repro.datasets.generator import DatasetConfig, DatasetGenerator, generate_dataset
 from repro.datasets.normalization import FeatureNormalizer
 from repro.datasets.tensorize import TensorizedSample, tensorize_sample
-from repro.datasets.batching import bucket_order, make_batches, merge_tensorized_samples
+from repro.datasets.batching import make_batches, merge_tensorized_samples, plan_batches
 from repro.datasets.splits import train_val_test_split
 from repro.datasets.storage import load_dataset, save_dataset
 from repro.datasets.sharded import (
@@ -45,7 +46,7 @@ from repro.datasets.factory import (
     merge_catalogs,
     run_job,
 )
-from repro.datasets.prefetch import BatchPrefetcher, iter_window_batches
+from repro.datasets.prefetch import BatchPrefetcher, iter_window_batches, tensorize_stream
 
 __all__ = [
     "Sample",
@@ -57,9 +58,9 @@ __all__ = [
     "FeatureNormalizer",
     "TensorizedSample",
     "tensorize_sample",
-    "bucket_order",
     "make_batches",
     "merge_tensorized_samples",
+    "plan_batches",
     "train_val_test_split",
     "save_dataset",
     "load_dataset",
@@ -69,6 +70,7 @@ __all__ = [
     "is_sharded_store",
     "BatchPrefetcher",
     "iter_window_batches",
+    "tensorize_stream",
     "DatasetJobSpec",
     "WorkUnit",
     "expand_units",

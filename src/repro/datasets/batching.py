@@ -17,19 +17,7 @@ import numpy as np
 
 from repro.datasets.tensorize import TensorizedSample
 
-__all__ = ["bucket_order", "merge_tensorized_samples", "make_batches"]
-
-
-def bucket_order(lengths) -> np.ndarray:
-    """Stable ordering that groups similar sequence lengths together.
-
-    The single definition of length-bucketed batch *membership*: both the
-    in-memory :func:`make_batches` and the streaming window planner
-    (:mod:`repro.datasets.prefetch`) sort with this, so a streamed epoch
-    whose window covers the dataset builds exactly the batches the in-memory
-    trainer pre-merges.
-    """
-    return np.argsort(np.asarray(lengths), kind="stable")
+__all__ = ["merge_tensorized_samples", "plan_batches", "make_batches"]
 
 
 def merge_tensorized_samples(samples: Sequence[TensorizedSample]) -> TensorizedSample:
@@ -120,39 +108,56 @@ def merge_tensorized_samples(samples: Sequence[TensorizedSample]) -> TensorizedS
     return merged
 
 
-def make_batches(samples: Sequence[TensorizedSample], batch_size: int,
-                 rng: Optional[np.random.Generator] = None,
-                 bucket_by_length: bool = False) -> List[TensorizedSample]:
-    """Group tensorised samples into merged batches of ``batch_size``.
+def plan_batches(lengths: Sequence[int], batch_size: int,
+                 bucket_by_length: bool = False,
+                 rng: Optional[np.random.Generator] = None) -> List[np.ndarray]:
+    """Batch membership and visit order for one window of samples.
 
-    The last batch may be smaller.  When ``rng`` is given and
-    ``bucket_by_length`` is off, the samples are shuffled before batching.
+    ``lengths`` holds each sample's ``max_path_length``.  Returns one array
+    of sample indices per batch, in the order the batches are visited;
+    every sample lands in exactly one batch and the last batch may be
+    smaller.  This is the one rule for both: :func:`make_batches` plans a
+    single window, and every training epoch plans its windows with it
+    (:mod:`repro.datasets.prefetch`).
 
-    With ``bucket_by_length`` the samples are first sorted (stably) by their
-    ``max_path_length``, so each merged batch groups scenarios of similar
-    sequence length: merging pads every path to the longest in the batch,
-    and bucketing shrinks those padded tails — more steps of the RNN scan
-    hit the no-masking ``fully_valid`` fast path and fewer padded entries
-    are carried at all.  Batch *membership* is then deterministic (a
-    function of the sample lengths only), which lets trainers pre-merge the
-    batches once and reshuffle only their order each epoch; ``rng`` is used
-    to shuffle that batch order here.  Every sample lands in exactly one
-    batch either way.
+    * With ``bucket_by_length`` (and ``batch_size > 1``) the samples are
+      sorted stably by length, so each batch groups scenarios of similar
+      sequence length: merging pads every path to the longest in its batch,
+      and bucketing shrinks those padded tails, so more steps of the RNN
+      scan take its no-masking fast path.  Membership is then fixed by the
+      lengths alone, and ``rng`` permutes only the visit order.
+    * Otherwise ``rng`` (when given) shuffles the samples before they are
+      cut into batches, so it draws the membership and the batches are
+      visited as cut.  At ``batch_size=1`` a batch has no padding to shrink,
+      so bucketing is ignored and ``rng`` shuffles the visit order.
+
+    Without ``rng`` nothing is drawn and the plan is the same every call.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
+    bucket = bucket_by_length and batch_size > 1
+    if bucket:
+        order = np.argsort(np.asarray(lengths), kind="stable")
+    elif rng is not None:
+        order = rng.permutation(len(lengths))
+    else:
+        order = np.arange(len(lengths))
+    batches = [order[start:start + batch_size]
+               for start in range(0, len(order), batch_size)]
+    if bucket and rng is not None:
+        batches = [batches[i] for i in rng.permutation(len(batches))]
+    return batches
+
+
+def make_batches(samples: Sequence[TensorizedSample], batch_size: int,
+                 rng: Optional[np.random.Generator] = None,
+                 bucket_by_length: bool = False) -> List[TensorizedSample]:
+    """Merge tensorised samples into the batches of one window, in visit
+    order: :func:`plan_batches` over all of ``samples`` at once."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot batch an empty list of samples")
-    if bucket_by_length:
-        order = bucket_order([s.max_path_length for s in samples])
-        samples = [samples[i] for i in order]
-    elif rng is not None:
-        order = rng.permutation(len(samples))
-        samples = [samples[i] for i in order]
-    batches = [merge_tensorized_samples(samples[i:i + batch_size])
-               for i in range(0, len(samples), batch_size)]
-    if bucket_by_length and rng is not None:
-        batch_order = rng.permutation(len(batches))
-        batches = [batches[i] for i in batch_order]
-    return batches
+    plan = plan_batches([s.max_path_length for s in samples], batch_size,
+                        bucket_by_length=bucket_by_length, rng=rng)
+    return [merge_tensorized_samples([samples[i] for i in members])
+            for members in plan]

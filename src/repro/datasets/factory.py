@@ -331,7 +331,9 @@ def execute_unit(spec: DatasetJobSpec, unit: WorkUnit, path: str) -> dict:
             **unit.axes,
         })
         events_processed += int(sample.metadata.get("events_processed", 0))
-        sim_wall_seconds += float(sample.metadata.get("sim_wall_seconds", 0.0))
+        # The wall time goes to the catalog only: left in the sample it
+        # would make the shard's bytes differ between runs of one spec.
+        sim_wall_seconds += float(sample.metadata.pop("sim_wall_seconds", 0.0))
         samples.append(sample)
     name = unit.shard_name_stem + SHARD_EXTENSION
     record = write_shard(path, name, samples)

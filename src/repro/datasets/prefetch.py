@@ -1,30 +1,37 @@
-"""Streaming epoch pipeline: tensorise, bucket and merge batches ahead of
-the trainer with bounded memory.
+"""Every training epoch's batches: planned, merged and queued ahead of the
+trainer by one :class:`BatchPrefetcher` stream.
 
-The in-memory training path tensorises the whole dataset and pre-merges all
-batches before the first epoch.  :class:`BatchPrefetcher` replaces that with
-a producer thread that consumes an iterable of :class:`Sample` objects (a
-:class:`~repro.datasets.sharded.ShardedDatasetReader` pass, one per epoch),
-tensorises them, groups them into merged batches and hands the batches to
-the trainer through a bounded queue — so at any moment only
+A producer thread consumes an iterable of tensorised items, cuts it into
+*windows* of ``window_batches`` batches' worth of items, plans each window
+with :func:`repro.datasets.batching.plan_batches` (the one rule for batch
+membership and visit order), merges the batches in visit order and hands
+them to the trainer through a bounded queue.  ``RouteNetTrainer.fit``'s two
+sources differ only in their items, their window and their merge:
 
-* one bucketing *window* of tensorised samples (``window_batches`` batches'
-  worth, released member by member as they are merged), and
-* at most ``prefetch_depth`` merged batches (the queue bound) plus the one
-  being merged and the one being trained on
+* in memory, the items are the trainer's memoised tensorisations and one
+  window covers the dataset.  A :class:`MergeMemo` keeps each merged batch
+  for as long as consecutive epochs merge the same members, so batches
+  whose membership is fixed (bucketing, ``shuffle=False``,
+  ``batch_size=1``) are merged, and their message-passing plans built,
+  once per fit;
+* out of core, the items are :func:`tensorize_stream` over one pass of a
+  :class:`~repro.datasets.sharded.ShardedDatasetReader`, tensorised in the
+  producer thread, and nothing is memoised, so at any moment only
 
-are live, independent of the dataset size.
+  - one window of tensorised samples (released member by member as they
+    are merged), and
+  - at most ``prefetch_depth`` merged batches (the queue bound) plus the
+    one being merged and the one being trained on
 
-Bucketing degrades gracefully to **per-window bucketing**: within each
-window the samples are stably sorted by ``max_path_length`` (exactly like
-:func:`repro.datasets.batching.make_batches`), merged in that order, and the
-window's batch *visit order* is permuted with the trainer's RNG when
-shuffling.  When a single window covers the whole dataset
-(``window_batches >= ceil(n / batch_size)``) this is *identical* — same
-batch membership, same RNG draws, same visit order — to the in-memory
-trainer's pre-merged static batches, which is what the bit-exact
-streamed-vs-in-memory equivalence tests pin down.  Smaller windows bound
-memory at the cost of bucketing (and shuffling) only within each window.
+  are live, independent of the dataset size.
+
+Bucketing degrades gracefully to **per-window bucketing**: a streamed
+window is planned exactly like the in-memory one, so a stream whose window
+covers the dataset (``window_batches >= ceil(n / batch_size)``) is the
+in-memory epoch — same batch membership, same RNG draws, same visit order
+— which is what the bit-exact streamed-vs-in-memory equivalence tests pin
+down.  Smaller windows bound memory at the cost of bucketing (and
+shuffling) only within each window.
 
 Integrity: the source iterable is typically a
 :class:`~repro.datasets.sharded.ShardedDatasetReader`, which (by default)
@@ -38,72 +45,98 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.datasets.batching import bucket_order, merge_tensorized_samples
+from repro.datasets.batching import merge_tensorized_samples, plan_batches
 from repro.datasets.normalization import FeatureNormalizer
 from repro.datasets.sample import Sample
 from repro.datasets.tensorize import TensorizedSample, tensorize_sample
 
-__all__ = ["BatchPrefetcher", "iter_window_batches"]
+__all__ = ["BatchPrefetcher", "MergeMemo", "iter_window_batches", "tensorize_stream"]
+
+#: Turns one batch's members into the merged batch.
+Merge = Callable[[Sequence[TensorizedSample]], TensorizedSample]
 
 
-def iter_window_batches(samples: Iterable[Sample],
-                        normalizer: FeatureNormalizer,
+def tensorize_stream(samples: Iterable[Sample], normalizer: FeatureNormalizer,
+                     target: str = "delay", dtype=None) -> Iterator[TensorizedSample]:
+    """Tensorise ``samples`` one at a time, in whichever thread consumes
+    the stream.  Nothing is memoised: a streamed epoch must not accumulate
+    the tensorisations it has already merged."""
+    for sample in samples:
+        yield tensorize_sample(sample, normalizer, target=target, dtype=dtype)
+
+
+class MergeMemo:
+    """Merged batches keyed by the identity of their members, kept while
+    consecutive epochs merge the same members in the same order.
+
+    Only for items that outlive the fit's epochs (the in-memory source's
+    memoised tensorisations), so equal ids mean equal members.  An epoch
+    looks its batches up among those the previous epoch used and keeps the
+    ones it uses itself; call :meth:`end_epoch` between epochs.  Fixed
+    membership therefore merges once per fit, while shuffled membership
+    misses and the previous epoch's batches are dropped one epoch later.
+    """
+
+    def __init__(self) -> None:
+        self._kept: Dict[tuple, TensorizedSample] = {}
+        self._used: Dict[tuple, TensorizedSample] = {}
+
+    def __call__(self, members: Sequence[TensorizedSample]) -> TensorizedSample:
+        key = tuple(map(id, members))
+        batch = self._kept.get(key)
+        if batch is None:
+            batch = merge_tensorized_samples(members)
+        self._used[key] = batch
+        return batch
+
+    def end_epoch(self) -> int:
+        """Keep this epoch's batches for the next one; return how many."""
+        self._kept, self._used = self._used, {}
+        return len(self._kept)
+
+
+def iter_window_batches(items: Iterable[TensorizedSample],
                         batch_size: int,
-                        target: str = "delay",
-                        dtype=None,
                         bucket_by_length: bool = True,
                         window_batches: int = 64,
                         rng: Optional[np.random.Generator] = None,
+                        merge: Optional[Merge] = None,
                         ) -> Iterator[TensorizedSample]:
-    """Yield merged batches from a sample stream, one window at a time.
+    """Yield merged batches from a stream of tensorised items, one window
+    at a time.
 
     This is the synchronous core of :class:`BatchPrefetcher` (exposed
     separately so it can be tested and reasoned about without threads).
-    Window members are released as soon as their batch is merged, so the
-    peak is one window of tensorised samples plus one merged batch.
+    ``merge`` defaults to :func:`merge_tensorized_samples`.  Window members
+    are released as soon as their batch is merged, so the peak is one
+    window of items plus one merged batch.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if window_batches < 1:
         raise ValueError("window_batches must be at least 1")
+    if merge is None:
+        merge = merge_tensorized_samples
     window_size = window_batches * batch_size
 
     def flush(window: List[TensorizedSample]) -> Iterator[TensorizedSample]:
-        # Mirror the in-memory trainer's two regimes exactly (same RNG
-        # draws, same membership) so a single-window stream is bit-identical:
-        # bucketed -> membership fixed by the stable length sort, the *visit*
-        # order permuted (what _epoch_plan does with static batches);
-        # unbucketed -> *membership* shuffled by permuting the sample order,
-        # batches visited as built (what make_batches(rng=...) does).
-        if bucket_by_length:
-            order = bucket_order([item.max_path_length for item in window])
-        elif rng is not None:
-            order = rng.permutation(len(window))
-        else:
-            order = np.arange(len(window))
-        memberships = [order[start:start + batch_size]
-                       for start in range(0, len(order), batch_size)]
-        if bucket_by_length and rng is not None:
-            visit = rng.permutation(len(memberships))
-        else:
-            visit = np.arange(len(memberships))
-        for batch_index in visit:
-            members = [window[i] for i in memberships[batch_index]]
-            merged = merge_tensorized_samples(members)
-            # Release the members: once merged (the merge always copies),
-            # the window slots are the only references keeping them alive.
-            for i in memberships[batch_index]:
+        plan = plan_batches([item.max_path_length for item in window], batch_size,
+                            bucket_by_length=bucket_by_length, rng=rng)
+        for members in plan:
+            batch = merge([window[i] for i in members])
+            # Release the members: a streamed window's slots are the only
+            # references keeping them alive (the merge always copies).
+            for i in members:
                 window[i] = None
-            yield merged
+            yield batch
 
     window: List[TensorizedSample] = []
-    for sample in samples:
-        window.append(tensorize_sample(sample, normalizer, target=target,
-                                       dtype=dtype))
+    for item in items:
+        window.append(item)
         if len(window) >= window_size:
             yield from flush(window)
             window = []
@@ -114,11 +147,12 @@ def iter_window_batches(samples: Iterable[Sample],
 class BatchPrefetcher:
     """Background thread producing merged batches ``prefetch_depth`` ahead.
 
-    Iterate over the prefetcher to consume one epoch's batches; the producer
-    thread stays at most ``prefetch_depth`` merged batches ahead of the
-    consumer (the queue bound provides backpressure).  Exceptions raised
-    while reading/tensorising propagate to the consumer **promptly**: the
-    next ``__next__`` after the producer dies re-raises the producer's error
+    Iterate over the prefetcher to consume one epoch's batches, merged from
+    ``items`` by :func:`iter_window_batches`; the producer thread stays at
+    most ``prefetch_depth`` merged batches ahead of the consumer (the queue
+    bound provides backpressure).  Exceptions raised while reading,
+    tensorising or merging propagate to the consumer **promptly**: the next
+    ``__next__`` after the producer dies re-raises the producer's error
     (after joining the thread), even when intact batches are still queued
     ahead of it — a failed epoch surfaces at the next step, not after the
     queue drains.  :meth:`close` stops the producer early (idempotent; also
@@ -130,7 +164,7 @@ class BatchPrefetcher:
 
     ``peak_live_batches`` records the highest number of merged batches that
     were simultaneously materialised (queued or in flight, plus the one the
-    consumer holds) — the number the trainer logs per epoch so a streaming
+    consumer holds) — the number the trainer logs per streamed epoch so a
     regression back to O(dataset) behaviour is visible without profiling.
     ``peak_live_bytes`` is the same high-water mark in array bytes
     (:attr:`TensorizedSample.nbytes` of the live batches).
@@ -138,15 +172,13 @@ class BatchPrefetcher:
 
     _DONE = object()
 
-    def __init__(self, samples: Iterable[Sample],
-                 normalizer: FeatureNormalizer,
+    def __init__(self, items: Iterable[TensorizedSample],
                  batch_size: int,
-                 target: str = "delay",
-                 dtype=None,
                  bucket_by_length: bool = True,
                  window_batches: int = 64,
                  rng: Optional[np.random.Generator] = None,
-                 prefetch_depth: int = 2) -> None:
+                 prefetch_depth: int = 2,
+                 merge: Optional[Merge] = None) -> None:
         if prefetch_depth < 1:
             raise ValueError("prefetch_depth must be at least 1")
         self.prefetch_depth = prefetch_depth
@@ -158,24 +190,23 @@ class BatchPrefetcher:
         self._live_lock = threading.Lock()
         self.peak_live_batches = 0
         self.peak_live_bytes = 0
-        self.batches_yielded = 0
         self._source = iter_window_batches(
-            self._stop_aware(samples), normalizer, batch_size, target=target,
-            dtype=dtype, bucket_by_length=bucket_by_length,
-            window_batches=window_batches, rng=rng)
+            self._stop_aware(items), batch_size, bucket_by_length=bucket_by_length,
+            window_batches=window_batches, rng=rng, merge=merge)
         self._thread = threading.Thread(target=self._produce,
                                         name="batch-prefetcher", daemon=True)
         self._thread.start()
 
     # ------------------------------------------------------------------ #
-    def _stop_aware(self, samples: Iterable[Sample]) -> Iterator[Sample]:
-        """Wrap the sample source so a close() is noticed between samples,
-        not only between queue puts — one sample's work bounds how long the
-        producer can keep running (and drawing from the RNG) after close."""
-        for sample in samples:
+    def _stop_aware(self, items: Iterable[TensorizedSample]) -> Iterator[TensorizedSample]:
+        """Wrap the item source so a close() is noticed between items, not
+        only between queue puts — one item's work (its tensorisation, when
+        streamed) bounds how long the producer can keep running (and
+        drawing from the RNG) after close."""
+        for item in items:
             if self._stop.is_set():
                 return
-            yield sample
+            yield item
 
     def _track(self, delta: int, nbytes: int) -> None:
         with self._live_lock:
@@ -232,7 +263,6 @@ class BatchPrefetcher:
                 raise self._error
             raise StopIteration
         self._track(-1, item.nbytes)
-        self.batches_yielded += 1
         return item
 
     def _finish_with_error(self) -> None:

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import time
 import warnings
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.datasets.batching import make_batches
 from repro.datasets.normalization import FeatureNormalizer
-from repro.datasets.prefetch import BatchPrefetcher
+from repro.datasets.prefetch import BatchPrefetcher, MergeMemo, tensorize_stream
 from repro.datasets.sample import Sample
 from repro.datasets.sharded import ShardedDatasetReader, is_sharded_store
 from repro.datasets.tensorize import TensorizedSample, tensorize_sample
@@ -56,9 +57,9 @@ class TrainerConfig:
     ``batch_size > 1``) groups scenarios of similar maximum path length into
     the same merged batch, the ``tf.data`` bucketing trick of the reference
     implementation: padded tails shrink, so the RNN scan's no-masking fast
-    path dominates.  Because bucketing fixes batch membership, the batches
-    are merged (and their message-passing indices built) **once** before the
-    first epoch; ``shuffle`` then only permutes the order the pre-merged
+    path dominates.  Because bucketing fixes batch membership, an in-memory
+    fit merges each batch (and builds its message-passing indices) **once**,
+    in its first epoch; ``shuffle`` then only permutes the order the merged
     batches are visited in.  Turn it off to recover the per-epoch
     shuffle-and-merge of arbitrary scenario mixes.
 
@@ -91,15 +92,18 @@ class TrainerConfig:
     backend — a worker exceeding it is presumed hung, killed and
     respawned; ``None`` (default) disables the bound.
 
-    ``prefetch_depth`` and ``stream_window`` shape the out-of-core path
-    (``fit(dataset_path=...)`` over a sharded store): a background thread
-    reads, tensorises and merges batches up to ``prefetch_depth`` ahead,
-    bucketing/shuffling within windows of ``stream_window`` batches, so an
-    epoch holds O(stream_window · batch_size) tensorised samples plus
-    O(prefetch_depth) merged batches instead of the whole dataset.  When a
-    single window covers the dataset (``stream_window >= ceil(n /
-    batch_size)``) the streamed run is bit-identical to the in-memory one;
-    smaller windows bound memory and bucket/shuffle per window instead.
+    ``prefetch_depth`` bounds how many merged batches each epoch's producer
+    thread queues ahead of the training step, for either data source of
+    :meth:`RouteNetTrainer.fit`.  ``stream_window`` shapes the out-of-core
+    path (``fit(dataset_path=...)`` over a sharded store): the thread
+    reads, tensorises and merges batches, bucketing/shuffling within
+    windows of ``stream_window`` batches, so an epoch holds
+    O(stream_window · batch_size) tensorised samples plus
+    O(prefetch_depth) merged batches instead of the whole dataset.  An
+    in-memory fit is the case of one window covering the dataset, so a
+    streamed run with ``stream_window >= ceil(n / batch_size)`` is
+    bit-identical to the in-memory one; smaller windows bound memory and
+    bucket/shuffle per window instead.
     """
 
     epochs: int = 20
@@ -149,58 +153,6 @@ class TrainerConfig:
         if self.stream_window < 1:
             raise ValueError("stream_window must be at least 1")
         resolve_dtype(self.dtype)  # raises on anything but float32/float64/None
-
-
-class _MemoryEpoch:
-    """One epoch over in-memory (possibly pre-merged) batches.
-
-    ``items`` is the batch list, ``order`` the visiting order; every batch
-    is live for the whole fit, which is exactly what ``peak_live_batches``
-    reports (the number the streaming path exists to shrink).
-    """
-
-    def __init__(self, items: Sequence[TensorizedSample], order: np.ndarray) -> None:
-        self.items = items
-        self.order = order
-
-    def serial_batches(self) -> Iterator[TensorizedSample]:
-        return (self.items[int(i)] for i in self.order)
-
-    def group_works(self, group_size: int) -> Iterator[tuple]:
-        for start in range(0, len(self.order), group_size):
-            yield ("indices", [int(i) for i in self.order[start:start + group_size]])
-
-    def peak_live_batches(self) -> int:
-        return len(self.items)
-
-    def close(self) -> None:
-        pass
-
-
-class _StreamingEpoch:
-    """One epoch streamed through a :class:`BatchPrefetcher`."""
-
-    def __init__(self, prefetcher: BatchPrefetcher) -> None:
-        self.prefetcher = prefetcher
-
-    def serial_batches(self) -> Iterator[TensorizedSample]:
-        return iter(self.prefetcher)
-
-    def group_works(self, group_size: int) -> Iterator[tuple]:
-        group: List[TensorizedSample] = []
-        for batch in self.prefetcher:
-            group.append(batch)
-            if len(group) == group_size:
-                yield ("payload", group)
-                group = []
-        if group:
-            yield ("payload", group)
-
-    def peak_live_batches(self) -> int:
-        return self.prefetcher.peak_live_batches
-
-    def close(self) -> None:
-        self.prefetcher.close()
 
 
 class RouteNetTrainer:
@@ -290,40 +242,13 @@ class RouteNetTrainer:
                 weight += sample.num_paths
         return total / weight
 
-    def _epoch_plan(self, train_items: Sequence[TensorizedSample],
-                    static_batches: Optional[List[TensorizedSample]],
-                    ) -> Tuple[List[TensorizedSample], np.ndarray]:
-        """One epoch's training items and the order to visit them in.
-
-        Returns ``(items, order)`` where ``items`` is the (possibly merged)
-        batch list and ``order`` indexes into it.  With pre-merged static
-        batches (bucketing, or ``shuffle=False``) and with ``batch_size ==
-        1`` the *same* item objects are reused every epoch — their memoised
-        message-passing indices survive, and the data-parallel executor
-        uploads them to the workers only once; unbucketed shuffled batch
-        sizes > 1 re-merge fresh disjoint-union batches each epoch.
-        """
-        if static_batches is not None:
-            if self.config.shuffle:
-                return static_batches, self._rng.permutation(len(static_batches))
-            return static_batches, np.arange(len(static_batches))
-        if self.config.batch_size == 1:
-            order = np.arange(len(train_items))
-            if self.config.shuffle:
-                self._rng.shuffle(order)
-            return list(train_items), order
-        batches = make_batches(train_items, self.config.batch_size,
-                               rng=self._rng if self.config.shuffle else None)
-        return batches, np.arange(len(batches))
-
-    def _train_group(self, executor, work: tuple) -> Tuple[List[float], List[int]]:
+    def _train_group(self, executor, batches: List[TensorizedSample],
+                     ) -> Tuple[List[float], List[int]]:
         """One synchronous data-parallel step over a group of batches.
 
-        ``work`` is ``("indices", [int, ...])`` for uploaded in-memory
-        batches or ``("payload", [TensorizedSample, ...])`` for streamed
-        batches shipped inside the step messages.  The current parameters
-        are broadcast, the members' gradients computed, and their
-        **path-weighted average** ``sum_i(num_paths_i * g_i) /
+        The batches travel inside the step messages.  The current
+        parameters are broadcast, the members' gradients computed, and
+        their **path-weighted average** ``sum_i(num_paths_i * g_i) /
         sum_i(num_paths_i)`` taken: the weighting :meth:`evaluate_loss`
         applies to losses, so the update equals the gradient of the mean
         per-path loss over every path in the group, exactly as if the group
@@ -333,9 +258,7 @@ class RouteNetTrainer:
         Returns the per-batch losses and path counts (for epoch-loss
         weighting, identical to the serial bookkeeping).
         """
-        kind, members = work
-        submit = executor.submit_group if kind == "indices" else executor.submit_group_payload
-        submit(self.model.parameters_vector(), members)
+        executor.submit_group_payload(self.model.parameters_vector(), batches)
         results = executor.collect_group()
         losses = [r[1] for r in results]
         weights = [r[2] for r in results]
@@ -350,19 +273,27 @@ class RouteNetTrainer:
             dataset_path: Optional[str] = None) -> History:
         """Train for ``config.epochs`` *additional* epochs; return the history.
 
-        Training data comes from exactly one of two sources:
+        Training data comes from exactly one of two sources, and an empty
+        one raises :class:`ValueError` before the first epoch.  Either way
+        every epoch is one :class:`~repro.datasets.prefetch.BatchPrefetcher`
+        stream, which plans, merges and queues the epoch's batches in a
+        producer thread:
 
         * ``train_samples`` — the in-memory path: every sample is tensorised
-          up front and (with fixed batch membership) pre-merged once.
+          once, before the first epoch (memoised by the normaliser), and
+          one window covers the dataset.  Merged batches are kept while
+          consecutive epochs reuse them, so with fixed batch membership
+          (bucketing, ``shuffle=False`` or ``batch_size=1``) each batch is
+          merged, and its message-passing plan built, once per fit.
         * ``dataset_path`` — the **out-of-core** path: the path of a sharded
-          dataset store (see :mod:`repro.datasets.sharded`), streamed one
-          epoch at a time through a :class:`~repro.datasets.prefetch.
-          BatchPrefetcher` so only ``config.stream_window`` batches' worth of
-          tensorised samples plus ``config.prefetch_depth`` merged batches
-          are ever live.  The trainer's normaliser comes from the store's
-          manifest (or, failing that, one streaming fit pass).  With
-          ``stream_window`` covering the whole dataset the streamed run is
-          bit-identical to the in-memory one.
+          dataset store (see :mod:`repro.datasets.sharded`), tensorised in
+          the producer thread as it is read, so only
+          ``config.stream_window`` batches' worth of tensorised samples
+          plus ``config.prefetch_depth`` merged batches are ever live.  The
+          trainer's normaliser comes from the store's manifest (or, failing
+          that, one streaming fit pass).  With ``stream_window`` covering
+          the whole dataset the streamed run is bit-identical to the
+          in-memory one.
 
         ``checkpoint_path`` (optional) makes the run interruption-safe: a
         full checkpoint (see :meth:`save_checkpoint`) is rewritten after
@@ -379,9 +310,10 @@ class RouteNetTrainer:
         — each call starts a fresh patience window.
 
         With ``config.num_workers > 1`` the epoch's batches are processed in
-        data-parallel groups, one synchronous step each (see
-        :meth:`_train_group`); the executor — a multiprocessing worker pool,
-        or its in-process serial twin — lives for the duration of this call.
+        data-parallel groups of consecutive batches, one synchronous step
+        each (see :meth:`_train_group`); the executor — a multiprocessing
+        worker pool, or its in-process serial twin — lives for the duration
+        of this call.
 
         A step whose loss or gradient norm is NaN or infinite raises
         :class:`FloatingPointError` naming the epoch and the batch (or
@@ -390,7 +322,8 @@ class RouteNetTrainer:
         the one of the last completed epoch.
 
         Every epoch records ``samples_per_sec`` and ``peak_live_batches``
-        into the history, so streaming-vs-in-memory throughput and memory
+        (for the in-memory path, the merged batches it keeps) into the
+        history, so streaming-vs-in-memory throughput and memory
         regressions show up without the benchmark suite.
         """
         if (train_samples is None) == (dataset_path is None):
@@ -398,8 +331,6 @@ class RouteNetTrainer:
                 "fit() needs exactly one data source: train_samples (in-memory) "
                 "or dataset_path (streamed from a sharded store)")
         reader = None
-        train_items = None
-        static_batches = None
         if dataset_path is not None:
             if not is_sharded_store(dataset_path):
                 raise ValueError(
@@ -409,27 +340,21 @@ class RouteNetTrainer:
                     "generate', or load_dataset() it and pass train_samples "
                     "instead")
             reader = ShardedDatasetReader(dataset_path)
-            samples_per_epoch = len(reader)
-            if samples_per_epoch == 0:
-                raise ValueError(f"dataset store '{dataset_path}' is empty")
+            source, samples_per_epoch = f"dataset store '{dataset_path}'", len(reader)
+        else:
+            source, samples_per_epoch = "train_samples", len(train_samples)
+        if samples_per_epoch == 0:
+            raise ValueError(f"{source} is empty: fit() has nothing to train on")
+        if reader is not None:
             if self.normalizer is None:
                 # Prefer the store's recorded statistics; otherwise fit by
                 # streaming over the store once (O(1) samples live).
                 self.normalizer = (reader.normalizer
                                    or FeatureNormalizer().fit(reader))
+            memo, window = None, self.config.stream_window
         else:
             train_items = self.prepare(train_samples)
-            samples_per_epoch = len(train_items)
-            # When batch membership is fixed across epochs — bucketing pins
-            # it to the length ordering, and shuffle=False to the input
-            # order — the disjoint-union merge (and the memoised
-            # message-passing index / scan plan built on it) happens once
-            # here, and epochs only permute the visiting order of the
-            # pre-merged batches.
-            if self.config.batch_size > 1 and (self.config.bucket_by_length
-                                               or not self.config.shuffle):
-                static_batches = make_batches(train_items, self.config.batch_size,
-                                              bucket_by_length=self.config.bucket_by_length)
+            memo, window = MergeMemo(), len(train_items)
         val_items = self.prepare(val_samples) if val_samples else None
         if val_items and self.config.batch_size > 1:
             # Merge validation scenarios once; the weighted evaluate_loss
@@ -460,49 +385,39 @@ class RouteNetTrainer:
                     self.model, self.config.num_workers,
                     loss=self.config.loss, backend="serial")
 
-        def make_epoch():
-            if reader is not None:
-                prefetcher = BatchPrefetcher(
-                    iter(reader), self.normalizer, self.config.batch_size,
-                    target=self.config.target, dtype=self.config.dtype,
-                    # Mirror _epoch_plan: at batch_size 1 the in-memory path
-                    # never buckets (there is no padding to shrink), so the
-                    # streamed path must not either or the visit order — and
-                    # with it the parameter trajectory — would diverge.
-                    bucket_by_length=(self.config.bucket_by_length
-                                      and self.config.batch_size > 1),
-                    window_batches=self.config.stream_window,
-                    rng=self._rng if self.config.shuffle else None,
-                    prefetch_depth=self.config.prefetch_depth)
-                return _StreamingEpoch(prefetcher)
-            items, order = self._epoch_plan(train_items, static_batches)
-            if executor is not None:
-                executor.ensure_batches(items)
-            return _MemoryEpoch(items, order)
-
         start_epoch = self.history.epochs[-1] if self.history.epochs else 0
         try:
             for epoch in range(start_epoch + 1, start_epoch + self.config.epochs + 1):
                 start = time.perf_counter()
-                current = make_epoch()
+                items = (train_items if reader is None else tensorize_stream(
+                    reader, self.normalizer, target=self.config.target,
+                    dtype=self.config.dtype))
                 losses, weights = [], []
                 unit, number = ("batch" if executor is None else "group"), 0
-                try:
-                    if executor is None:
-                        for number, batch in enumerate(current.serial_batches()):
-                            losses.append(self.train_step(batch))
-                            weights.append(batch.num_paths)
-                    else:
-                        works = current.group_works(self.config.num_workers)
-                        for number, work in enumerate(works):
-                            group_losses, group_weights = self._train_group(executor, work)
-                            losses.extend(group_losses)
-                            weights.extend(group_weights)
-                except FloatingPointError as error:
-                    raise FloatingPointError(
-                        f"epoch {epoch}, {unit} {number}: {error}") from None
-                finally:
-                    current.close()  # streaming: joins the producer
+                # Leaving the block joins the producer, which draws from
+                # self._rng, before anything else touches it.
+                with BatchPrefetcher(items, self.config.batch_size,
+                                     bucket_by_length=self.config.bucket_by_length,
+                                     window_batches=window,
+                                     rng=self._rng if self.config.shuffle else None,
+                                     prefetch_depth=self.config.prefetch_depth,
+                                     merge=memo) as batches:
+                    try:
+                        if executor is None:
+                            for number, batch in enumerate(batches):
+                                losses.append(self.train_step(batch))
+                                weights.append(batch.num_paths)
+                        else:
+                            # Consecutive groups of up to num_workers batches.
+                            groups = iter(lambda: list(itertools.islice(
+                                batches, self.config.num_workers)), [])
+                            for number, group in enumerate(groups):
+                                group_losses, group_weights = self._train_group(executor, group)
+                                losses.extend(group_losses)
+                                weights.extend(group_weights)
+                    except FloatingPointError as error:
+                        raise FloatingPointError(
+                            f"epoch {epoch}, {unit} {number}: {error}") from None
                 train_loss = float(np.average(
                     np.asarray(losses),
                     weights=np.asarray(weights, dtype=np.float64)))
@@ -512,7 +427,8 @@ class RouteNetTrainer:
                     epoch, train_loss, val_loss, seconds,
                     samples_per_sec=(samples_per_epoch / seconds
                                      if seconds > 0 else None),
-                    peak_live_batches=current.peak_live_batches())
+                    peak_live_batches=(batches.peak_live_batches if memo is None
+                                       else memo.end_epoch()))
                 if checkpoint_path is not None:
                     self.save_checkpoint(checkpoint_path)
 

@@ -43,17 +43,9 @@ def spec_for(**overrides) -> DatasetJobSpec:
 
 
 def store_contents(path):
-    """Order-preserving canonical sample encodings of a store.
-
-    ``sim_wall_seconds`` is dropped before comparing: it is the one
-    metadata field documented to vary between otherwise identical runs.
-    """
-    contents = []
-    for sample in ShardedDatasetReader(path):
-        payload = sample.to_dict()
-        payload["metadata"].pop("sim_wall_seconds", None)
-        contents.append(json.dumps(payload, sort_keys=True))
-    return contents
+    """Order-preserving canonical sample encodings of a store."""
+    return [json.dumps(sample.to_dict(), sort_keys=True)
+            for sample in ShardedDatasetReader(path)]
 
 
 @pytest.fixture(scope="module")
@@ -391,19 +383,42 @@ class TestDatasetConfigValidation:
 class TestSimulatorCostMetadata:
     """Satellite: simulation-backed samples record their generation cost."""
 
+    @staticmethod
+    def _spec(**overrides):
+        parameters = dict(topologies=("ring:4",), samples_per_scenario=1,
+                          unit_size=1, seed=1,
+                          base_config={"backend": "simulation",
+                                       "simulation_duration": 0.2})
+        parameters.update(overrides)
+        return DatasetJobSpec(**parameters)
+
+    @staticmethod
+    def _units(path):
+        with open(os.path.join(path, MANIFEST_NAME)) as handle:
+            return json.load(handle)["catalog"]["units"]
+
     def test_events_and_wall_time_recorded(self, tmp_path):
-        spec = DatasetJobSpec(
-            topologies=("ring:4",), samples_per_scenario=1, unit_size=1,
-            seed=1, base_config={"backend": "simulation",
-                                 "simulation_duration": 0.2})
         path = str(tmp_path / "sim")
-        status = run_job(spec, path, workers=1)
+        status = run_job(self._spec(), path, workers=1)
         assert status["events_processed"] > 0
         sample = next(iter(ShardedDatasetReader(path)))
         assert sample.metadata["events_processed"] > 0
-        assert sample.metadata["sim_wall_seconds"] > 0
         assert sample.metadata["generator"] == "packet-simulator"
-        # The catalog aggregates the same cost per unit.
-        with open(os.path.join(path, MANIFEST_NAME)) as handle:
-            unit = json.load(handle)["catalog"]["units"][0]
+        # The catalog aggregates the same cost per unit, and keeps the wall
+        # time the sample does not carry.
+        unit = self._units(path)[0]
         assert unit["events_processed"] == sample.metadata["events_processed"]
+        assert unit["sim_wall_seconds"] > 0
+        assert "sim_wall_seconds" not in sample.metadata
+
+    def test_simulated_shards_are_byte_identical_across_runs(self, tmp_path):
+        """Wall time varies between runs; shard bytes must not, whatever
+        the worker count."""
+        spec = self._spec(samples_per_scenario=2)
+        digests = []
+        for name, workers in (("first", 1), ("again", 1), ("two-workers", 2)):
+            path = str(tmp_path / name)
+            assert run_job(spec, path, workers=workers)["complete"]
+            digests.append([unit["sha256"] for unit in self._units(path)])
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1] == digests[2]

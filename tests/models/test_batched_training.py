@@ -169,47 +169,52 @@ class TestBatchedFit:
         assert len(history.epochs) == 3
         assert np.isfinite(history.train_loss).all()
 
-    def test_bucketed_fit_premerges_batches_once(self, monkeypatch):
-        """With bucketing (the default) fit merges batches once, not per epoch."""
-        import repro.models.trainer as trainer_module
+    @staticmethod
+    def _count_merges(monkeypatch, samples, **config):
+        """Fit 3 epochs; return how many batches the fit merged.
 
-        samples = generate_dataset(ring_topology(4), DatasetConfig(num_samples=6, seed=12))
+        Every epoch's batches are merged by the prefetcher's module, so
+        counting calls there counts every merge of the fit."""
+        import repro.datasets.prefetch as prefetch_module
+
         calls = []
-        real_make_batches = trainer_module.make_batches
+        real_merge = prefetch_module.merge_tensorized_samples
 
-        def counting_make_batches(*args, **kwargs):
-            calls.append(kwargs)
-            return real_make_batches(*args, **kwargs)
+        def counting_merge(members):
+            calls.append(len(members))
+            return real_merge(members)
 
-        monkeypatch.setattr(trainer_module, "make_batches", counting_make_batches)
+        monkeypatch.setattr(prefetch_module, "merge_tensorized_samples", counting_merge)
         trainer = RouteNetTrainer(RouteNet(SMALL_CONFIG),
-                                  TrainerConfig(epochs=3, batch_size=2, seed=12))
+                                  TrainerConfig(epochs=3, **config))
         history = trainer.fit(samples)
         assert len(history.epochs) == 3
-        assert len(calls) == 1
-        assert calls[0].get("bucket_by_length") is True
+        return len(calls)
+
+    def test_bucketed_fit_premerges_batches_once(self, monkeypatch):
+        """With bucketing (the default) fit merges batches once, not per epoch."""
+        samples = generate_dataset(ring_topology(4), DatasetConfig(num_samples=6, seed=12))
+        assert self._count_merges(monkeypatch, samples, batch_size=2, seed=12) == 3
+
+    def test_unshuffled_fit_merges_batches_once(self, monkeypatch):
+        """shuffle=False fixes batch membership even without bucketing."""
+        samples = generate_dataset(ring_topology(4), DatasetConfig(num_samples=6, seed=12))
+        assert self._count_merges(monkeypatch, samples, batch_size=2,
+                                  bucket_by_length=False, shuffle=False, seed=12) == 3
+
+    def test_batch_size_one_fit_merges_batches_once(self, monkeypatch):
+        """One-sample batches have fixed membership; shuffling only reorders them."""
+        samples = generate_dataset(ring_topology(4), DatasetConfig(num_samples=6, seed=12))
+        assert self._count_merges(monkeypatch, samples, batch_size=1, seed=12) == 6
 
     def test_unbucketed_fit_remerges_every_epoch(self, monkeypatch):
         """bucket_by_length=False restores the per-epoch shuffle-and-merge."""
-        import repro.models.trainer as trainer_module
-
         samples = generate_dataset(ring_topology(4), DatasetConfig(num_samples=6, seed=13))
-        calls = []
-        real_make_batches = trainer_module.make_batches
-
-        def counting_make_batches(*args, **kwargs):
-            calls.append(kwargs)
-            return real_make_batches(*args, **kwargs)
-
-        monkeypatch.setattr(trainer_module, "make_batches", counting_make_batches)
-        trainer = RouteNetTrainer(RouteNet(SMALL_CONFIG),
-                                  TrainerConfig(epochs=3, batch_size=2,
-                                                bucket_by_length=False, seed=13))
-        trainer.fit(samples)
-        assert len(calls) == 3
+        assert self._count_merges(monkeypatch, samples, batch_size=2,
+                                  bucket_by_length=False, seed=13) == 3 * 3
 
     def test_bucketed_epochs_cover_every_sample(self):
-        """Each pre-merged bucketed epoch steps over every scenario exactly once."""
+        """Each bucketed epoch steps over every scenario exactly once."""
         samples = generate_dataset(ring_topology(4), DatasetConfig(num_samples=5, seed=14))
         trainer = RouteNetTrainer(RouteNet(SMALL_CONFIG),
                                   TrainerConfig(epochs=2, batch_size=2, seed=14))

@@ -31,13 +31,13 @@ def samples():
 
 
 def _fit(samples, num_workers, backend="process", scan_mode="stream",
-         batch_size=2, epochs=2):
+         batch_size=2, epochs=2, **config):
     model = ExtendedRouteNet(RouteNetConfig(
         link_state_dim=8, path_state_dim=8, node_state_dim=8,
         message_passing_iterations=2, seed=5, scan_mode=scan_mode))
     trainer = RouteNetTrainer(model, TrainerConfig(
         epochs=epochs, learning_rate=0.005, batch_size=batch_size,
-        num_workers=num_workers, parallel_backend=backend, seed=5))
+        num_workers=num_workers, parallel_backend=backend, seed=5, **config))
     trainer.fit(samples)
     return trainer
 
@@ -68,15 +68,15 @@ def test_group_gradient_matches_merged_batch(samples):
 
     executor = SerialGradientExecutor(trainer.model, num_workers=2,
                                       loss=trainer.config.loss)
-    executor.set_batches([batch_a, batch_b])
     params = trainer.model.parameters_vector()
-    results = executor.run_group(params, [0, 1])
+    executor.submit_group_payload(params, [batch_a, batch_b])
+    results = executor.collect_group()
     averaged = path_weighted_average([r[0] for r in results],
                                      [r[2] for r in results])
 
     merged = merge_tensorized_samples(items[:5])
-    executor.set_batches([merged])
-    (merged_grad, merged_loss, merged_paths), = executor.run_group(params, [0])
+    executor.submit_group_payload(params, [merged])
+    (merged_grad, merged_loss, merged_paths), = executor.collect_group()
     executor.close()
 
     assert merged_paths == results[0][2] + results[1][2]
@@ -97,18 +97,18 @@ def test_odd_group_sizes_are_handled(samples):
     assert trainer.optimizer.step_count == 2 * 2  # ceil(3 / 2) groups per epoch
 
 
-def test_unbucketed_shuffled_batches_reupload_each_epoch(samples):
-    """Dynamic (unbucketed, shuffled) batching re-merges fresh batches per
-    epoch; the executor must follow instead of serving stale cached ones."""
-    model = ExtendedRouteNet(RouteNetConfig(
-        link_state_dim=8, path_state_dim=8, node_state_dim=8,
-        message_passing_iterations=2, seed=5))
-    dynamic_trainer = RouteNetTrainer(model, TrainerConfig(
-        epochs=3, learning_rate=0.005, batch_size=2, bucket_by_length=False,
-        num_workers=2, parallel_backend="serial", seed=5))
-    dynamic_trainer.fit(samples)
-    assert dynamic_trainer.history.train_loss[-1] < dynamic_trainer.history.train_loss[0] * 5
-    assert len(dynamic_trainer.history.epochs) == 3
+def test_unbucketed_shuffled_batches_match_across_backends(samples):
+    """Unbucketed, shuffled batching re-merges fresh batches every epoch,
+    and every step message ships them; the worker pool must still compute
+    exactly what the serial engine does, epoch after epoch."""
+    pooled = _fit(samples, num_workers=2, backend="process", scan_mode="compiled",
+                  epochs=3, bucket_by_length=False)
+    serial = _fit(samples, num_workers=2, backend="serial", scan_mode="compiled",
+                  epochs=3, bucket_by_length=False)
+    assert len(pooled.history.epochs) == 3
+    assert pooled.history.train_loss == serial.history.train_loss
+    assert np.array_equal(pooled.model.parameters_vector(),
+                          serial.model.parameters_vector())
 
 
 def test_parallel_matches_manual_gradient_accumulation(samples):
@@ -129,13 +129,13 @@ def test_parallel_matches_manual_gradient_accumulation(samples):
     from repro.datasets.batching import make_batches
     batches = make_batches(items, 2, bucket_by_length=True)
     executor = SerialGradientExecutor(model, num_workers=2)
-    executor.set_batches(batches)
     rng = np.random.default_rng(5)
     for _ in range(2):
         order = rng.permutation(len(batches))
         for start in range(0, len(order), 2):
-            group = [int(i) for i in order[start:start + 2]]
-            results = executor.run_group(model.parameters_vector(), group)
+            group = [batches[i] for i in order[start:start + 2]]
+            executor.submit_group_payload(model.parameters_vector(), group)
+            results = executor.collect_group()
             grad = path_weighted_average([r[0] for r in results],
                                          [r[2] for r in results])
             model.load_gradients_vector(grad)

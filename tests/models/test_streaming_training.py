@@ -4,7 +4,7 @@ The streaming path (``fit(dataset_path=...)`` over a sharded store, batches
 produced by a :class:`~repro.datasets.prefetch.BatchPrefetcher`) must be an
 *execution* detail, never an update-semantics one: with a bucketing window
 covering the dataset, a streamed epoch builds exactly the batches the
-in-memory trainer pre-merges and visits them in the same RNG order, so the
+in-memory trainer merges and visits them in the same RNG order, so the
 parameter trajectories are **bit-identical** — in both RNN scan modes, under
 both parallel backends and at any prefetch depth.
 """
@@ -20,6 +20,7 @@ from repro.datasets import (
     iter_window_batches,
     make_batches,
     save_dataset,
+    tensorize_stream,
 )
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.topology import ring_topology
@@ -177,6 +178,12 @@ def test_fit_data_source_validation(samples, normalizer, store, tmp_path):
     empty = save_dataset([], str(tmp_path / "empty"), shards=1)
     with pytest.raises(ValueError, match="empty"):
         trainer.fit(dataset_path=empty)
+    # An empty in-memory source fails the same way, before any epoch.
+    for batch_size in (1, 2):
+        trainer = _make_trainer(normalizer, batch_size=batch_size)
+        with pytest.raises(ValueError, match="train_samples is empty"):
+            trainer.fit([])
+        assert trainer.history.epochs == []
 
 
 def test_streaming_checkpoint_resume_bit_exact(samples, normalizer, store,
@@ -203,8 +210,8 @@ def test_window_batches_match_make_batches(samples, normalizer):
     (same stable length-bucketed membership, same member order)."""
     items = [normalizer.tensorize(s) for s in samples]
     expected = make_batches(items, 2, bucket_by_length=True)
-    streamed = list(iter_window_batches(samples, normalizer, batch_size=2,
-                                        window_batches=64))
+    streamed = list(iter_window_batches(tensorize_stream(samples, normalizer),
+                                        batch_size=2, window_batches=64))
     assert len(streamed) == len(expected)
     for a, b in zip(streamed, expected):
         np.testing.assert_array_equal(a.targets, b.targets)
@@ -214,7 +221,7 @@ def test_window_batches_match_make_batches(samples, normalizer):
 
 def test_prefetcher_propagates_errors(samples):
     unfitted = FeatureNormalizer()  # tensorising with it raises RuntimeError
-    prefetcher = BatchPrefetcher(iter(samples), unfitted, batch_size=2)
+    prefetcher = BatchPrefetcher(tensorize_stream(samples, unfitted), batch_size=2)
     with pytest.raises(RuntimeError, match="fitted"):
         list(prefetcher)
 
@@ -228,8 +235,8 @@ def test_prefetcher_reraises_promptly_past_queued_batches(samples, normalizer):
         yield samples[1]
         raise RuntimeError("poisoned source")
 
-    prefetcher = BatchPrefetcher(poisoned(), normalizer, batch_size=1,
-                                 window_batches=1, prefetch_depth=4)
+    prefetcher = BatchPrefetcher(tensorize_stream(poisoned(), normalizer),
+                                 batch_size=1, window_batches=1, prefetch_depth=4)
     # Deterministic setup: let the producer queue both good batches, hit the
     # error and exit before the consumer touches the queue.
     prefetcher._thread.join(timeout=10.0)
@@ -246,7 +253,7 @@ def test_prefetcher_context_manager_joins_on_consumer_error(samples, normalizer)
     """A consumer raising mid-epoch inside ``with`` still stops and joins
     the producer thread on the way out."""
     with pytest.raises(RuntimeError, match="consumer failed"):
-        with BatchPrefetcher(iter(samples), normalizer, batch_size=1,
+        with BatchPrefetcher(tensorize_stream(samples, normalizer), batch_size=1,
                              prefetch_depth=1) as prefetcher:
             next(iter(prefetcher))
             raise RuntimeError("consumer failed")
@@ -256,7 +263,7 @@ def test_prefetcher_context_manager_joins_on_consumer_error(samples, normalizer)
 
 
 def test_prefetcher_close_is_safe_midway(samples, normalizer):
-    prefetcher = BatchPrefetcher(iter(samples), normalizer, batch_size=1,
+    prefetcher = BatchPrefetcher(tensorize_stream(samples, normalizer), batch_size=1,
                                  prefetch_depth=1)
     first = next(iter(prefetcher))
     assert first.num_paths > 0
@@ -269,7 +276,7 @@ def test_prefetcher_close_is_safe_midway(samples, normalizer):
 
 
 def test_prefetcher_tracks_live_bytes(samples, normalizer):
-    prefetcher = BatchPrefetcher(iter(samples), normalizer, batch_size=2,
+    prefetcher = BatchPrefetcher(tensorize_stream(samples, normalizer), batch_size=2,
                                  prefetch_depth=1)
     batches = list(prefetcher)
     total_bytes = sum(batch.nbytes for batch in batches)

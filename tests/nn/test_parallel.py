@@ -135,6 +135,20 @@ def _geant2_batches():
     return make_batches([normalizer.tensorize(s) for s in samples], 2)
 
 
+def _poisoned_batch(batch):
+    """A copy of ``batch`` whose link indices run past its links: computing
+    on it raises ``IndexError`` inside whichever engine runs it."""
+    poisoned = batch.copy()
+    poisoned.link_sequences = poisoned.link_sequences + 42
+    return poisoned
+
+
+def _run_group(executor, flat_params, batches):
+    """One synchronous group: ship ``batches`` and collect their results."""
+    executor.submit_group_payload(flat_params, batches)
+    return executor.collect_group()
+
+
 def _assert_same_results(pooled, direct):
     for (grad_p, loss_p, paths_p), (grad_s, loss_s, paths_s) in zip(pooled, direct):
         assert np.array_equal(grad_p, grad_s)
@@ -149,10 +163,8 @@ class TestExecutors:
         params = model.parameters_vector()
         with GradientWorkerPool(model, num_workers=2) as pool, \
                 SerialGradientExecutor(model, num_workers=2) as serial:
-            pool.set_batches(batches)
-            serial.set_batches(batches)
-            pooled = pool.run_group(params, [0, 1])
-            direct = serial.run_group(params, [0, 1])
+            pooled = _run_group(pool, params, batches)
+            direct = _run_group(serial, params, batches)
         _assert_same_results(pooled, direct)
 
     def test_process_pool_matches_serial_at_the_shipping_size(self):
@@ -169,10 +181,8 @@ class TestExecutors:
         params = model.parameters_vector()
         with GradientWorkerPool(model, num_workers=2) as pool, \
                 SerialGradientExecutor(model, num_workers=2) as serial:
-            pool.set_batches(batches)
-            serial.set_batches(batches)
-            pooled = pool.run_group(params, [0, 1])
-            direct = serial.run_group(params, [0, 1])
+            pooled = _run_group(pool, params, batches)
+            direct = _run_group(serial, params, batches)
         _assert_same_results(pooled, direct)
 
     def test_more_batches_than_workers_round_robins(self):
@@ -180,8 +190,7 @@ class TestExecutors:
         batches = _toy_batches()
         params = model.parameters_vector()
         with GradientWorkerPool(model, num_workers=2) as pool:
-            pool.set_batches(batches)
-            results = pool.run_group(params, [0, 1, 0])
+            results = _run_group(pool, params, [batches[0], batches[1], batches[0]])
         assert len(results) == 3
         # Same batch dispatched to different workers gives identical results.
         assert np.array_equal(results[0][0], results[2][0])
@@ -190,11 +199,11 @@ class TestExecutors:
         model = _toy_routenet()
         batches = _toy_batches()
         with GradientWorkerPool(model, num_workers=1) as pool:
-            pool.set_batches(batches)
             with pytest.raises(RuntimeError, match="IndexError"):
-                pool.run_group(model.parameters_vector(), [42])
+                _run_group(pool, model.parameters_vector(),
+                           [_poisoned_batch(batches[0])])
             # The worker survives a failed task and keeps serving.
-            results = pool.run_group(model.parameters_vector(), [0])
+            results = _run_group(pool, model.parameters_vector(), [batches[0]])
             assert len(results) == 1
 
     def test_failed_group_leaves_no_reply_for_the_next_group(self):
@@ -206,12 +215,11 @@ class TestExecutors:
         params = failed_params * 0.9
         with GradientWorkerPool(model, num_workers=2) as pool, \
                 SerialGradientExecutor(model, num_workers=2) as serial:
-            pool.set_batches(batches)
-            serial.set_batches(batches)
             with pytest.raises(RuntimeError, match="IndexError"):
-                pool.run_group(failed_params, [42, 0])
-            pooled = pool.run_group(params, [0, 1])
-            direct = serial.run_group(params, [0, 1])
+                _run_group(pool, failed_params,
+                           [_poisoned_batch(batches[0]), batches[0]])
+            pooled = _run_group(pool, params, batches)
+            direct = _run_group(serial, params, batches)
         for (grad_p, loss_p, _), (grad_s, loss_s, _) in zip(pooled, direct):
             assert np.array_equal(grad_p, grad_s)
             assert loss_p == loss_s
@@ -220,24 +228,6 @@ class TestExecutors:
         pool = GradientWorkerPool(_toy_routenet(), num_workers=1)
         pool.close()
         pool.close()
-
-    def test_ensure_batches_uploads_once_for_same_objects(self):
-        executor = SerialGradientExecutor(_toy_routenet(), num_workers=2)
-        batches = _toy_batches()
-        uploads = []
-        original = executor.set_batches
-
-        def counting(batch_list):
-            uploads.append(len(batch_list))
-            original(batch_list)
-
-        executor.set_batches = counting
-        executor.ensure_batches(batches)
-        executor.ensure_batches(batches)
-        executor.ensure_batches(list(batches))  # same objects, new list
-        assert uploads == [len(batches)]
-        executor.ensure_batches(_toy_batches())  # fresh objects re-upload
-        assert len(uploads) == 2
 
     def test_make_gradient_executor_backends(self):
         model = _toy_routenet()
@@ -323,8 +313,7 @@ class TestWorkerBlasThreads:
             monkeypatch.setenv(ENV_MARKER_DIR, str(tmp_path / "markers"))
         model = _toy_routenet()
         with GradientWorkerPool(model, num_workers=2) as pool:
-            pool.set_batches(_toy_batches())
-            results = pool.run_group(model.parameters_vector(), [0, 1])
+            results = _run_group(pool, model.parameters_vector(), _toy_batches())
             assert pool.restarts == (0 if faults is None else 1)
         assert [threads for _, threads, _ in results] == [1, 1]
         assert _blas_threads() == parent_threads
@@ -344,9 +333,7 @@ class TestWorkerBlasThreads:
         params = model.parameters_vector()
         with GradientWorkerPool(model, num_workers=2) as pool, \
                 SerialGradientExecutor(model, num_workers=2) as serial:
-            pool.set_batches(batches)
-            serial.set_batches(batches)
-            pooled = pool.run_group(params, [0, 1])
-            direct = serial.run_group(params, [0, 1])
+            pooled = _run_group(pool, params, batches)
+            direct = _run_group(serial, params, batches)
             assert pool.restarts == 0
         _assert_same_results(pooled, direct)

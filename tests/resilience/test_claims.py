@@ -30,12 +30,8 @@ def small_spec(**overrides) -> DatasetJobSpec:
 
 
 def store_contents(path):
-    contents = []
-    for sample in ShardedDatasetReader(path):
-        payload = sample.to_dict()
-        payload["metadata"].pop("sim_wall_seconds", None)
-        contents.append(json.dumps(payload, sort_keys=True))
-    return contents
+    return [json.dumps(sample.to_dict(), sort_keys=True)
+            for sample in ShardedDatasetReader(path)]
 
 
 class TestClaimPrimitive:

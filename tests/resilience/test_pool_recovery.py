@@ -46,16 +46,16 @@ def _arm(monkeypatch, tmp_path, specs):
 
 
 def _run_group_results(executor, batches):
-    executor.set_batches(batches)
     model = _toy_model()
-    return executor.run_group(model.parameters_vector(), [0, 1])
+    executor.submit_group_payload(model.parameters_vector(), batches)
+    return executor.collect_group()
 
 
 def test_killed_worker_is_respawned_and_results_are_bit_identical(
         tmp_path, monkeypatch):
     """`pool.step.start` kill of rank 0's first task: the supervisor reaps
-    the corpse, respawns it, re-uploads the batch cache and re-sends the
-    step — same ring slot, same batch, bit-identical gradient."""
+    the corpse, respawns it and re-sends the step with its batch — same
+    ring slot, same batch, bit-identical gradient."""
     batches = _toy_batches()
     with SerialGradientExecutor(_toy_model(), num_workers=2) as serial:
         expected = _run_group_results(serial, batches)
