@@ -1,7 +1,10 @@
 """Shared configuration of the benchmark harness.
 
-Every benchmark regenerates one experiment of DESIGN.md's experiment index.
-Sizes are scaled down from the paper (400k training samples) so the whole
+Every benchmark either regenerates one of the paper's experiments (Fig. 2's
+error CDFs, the node-feature ablation, the baseline and simulator
+comparisons, the inference-vs-simulation cost) or measures throughput rows
+of ``.benchmarks/BENCH_throughput.json``; README's "Benchmarks" section
+lists them.  Sizes are scaled down from the paper (400k training samples) so the whole
 suite runs on a laptop CPU; set ``REPRO_BENCH_SCALE=full`` to use larger
 sizes (several times slower) for tighter curves.
 """

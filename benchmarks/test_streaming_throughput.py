@@ -23,15 +23,27 @@ recorded in ``.benchmarks/BENCH_throughput.json``:
   observed to swing the ratio by ±10% — far more than the ~3-5% pipeline
   overhead being measured.  A pristine interpreter per fit makes the
   comparison order-independent.
+
+The untracked fits run in ``SPEED_PAIRS`` back-to-back pairs, alternating
+which arm goes first, and the asserted speed ratio is the median of the
+pairs' ratios: the two fits of a pair see the same host conditions, and
+the median drops a pair that a load spike split.  Each arm's best fit (the
+measurement of ``test_binary_shard_read_throughput``) is no estimate here.
+On a 2-CPU host the in-memory arm, whose BLAS calls can spread over an idle
+second CPU, has fast outliers (26-30 samples/s against a typical 21) that
+the streamed arm, whose producer thread needs that CPU, never shows (at
+most 21-25), so best-of compared one arm's luckiest fit with the other's
+typical ones and read 0.70-0.75 where the paired medians of the same fits
+read 0.79-0.89.  The bar is marginal on such a host all the same.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import statistics
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from repro.datasets import (
@@ -49,6 +61,7 @@ BATCH_SIZE = 2          # 2 GEANT2 scenarios -> 1104-path merged batches
 DTYPE = "float32"
 STATE_DIM = 20          # model compute heavy enough that the per-epoch
                         # shard re-parse is a small fraction of a fit
+SPEED_PAIRS = 5         # untracked fit pairs, alternating which arm goes first
 
 RESULTS: dict = {}
 
@@ -133,7 +146,8 @@ def _isolated_fit(conn, store: str, iterations: int, streamed: bool,
 def test_streaming_vs_inmemory(fitted_normalizer, sharded_store, bench_scale):
     """A streamed epoch over the sharded store must cut peak tracemalloc to
     ≤ 0.5x the in-memory fit at ≥ 0.8x its samples/sec on the 1104-path
-    merged-batch dataset (see the module docstring for the bar history)."""
+    merged-batch dataset (see the module docstring for the bar history and
+    the paired measurement)."""
     streaming_config = dict(stream_window=2, prefetch_depth=1)
     context = mp.get_context("spawn")
 
@@ -150,20 +164,19 @@ def test_streaming_vs_inmemory(fitted_normalizer, sharded_store, bench_scale):
         parent_conn.close()
         return result
 
-    # Each repetition measures the two arms back to back and contributes one
-    # pairwise ratio; the reported ratio is the median over repetitions
-    # (robust to one slow/hot repetition on a drifting host).
-    memory_speeds, stream_speeds, ratios = [], [], []
-    live_memory = live_stream = 0
-    for _ in range(3):
-        speed_memory, _, live_memory = run_fit(streamed=False, tracked=False)
-        speed_stream, _, live_stream = run_fit(streamed=True, tracked=False)
-        memory_speeds.append(speed_memory)
-        stream_speeds.append(speed_stream)
-        ratios.append(speed_stream / speed_memory)
-    speed_memory = float(np.median(memory_speeds))
-    speed_stream = float(np.median(stream_speeds))
-    speed_ratio = float(np.median(ratios))
+    # Each pair runs both arms back to back, the first arm alternating, and
+    # contributes one speed ratio (see the module docstring).
+    speeds = {False: [], True: []}
+    ratios, live = [], {}
+    for pair in range(SPEED_PAIRS):
+        for streamed in ((False, True) if pair % 2 == 0 else (True, False)):
+            speed, _, live[streamed] = run_fit(streamed=streamed, tracked=False)
+            speeds[streamed].append(speed)
+        ratios.append(speeds[True][-1] / speeds[False][-1])
+    speed_memory = statistics.median(speeds[False])
+    speed_stream = statistics.median(speeds[True])
+    speed_ratio = statistics.median(ratios)
+    live_memory, live_stream = live[False], live[True]
     _, peak_memory, _ = run_fit(streamed=False, tracked=True)
     _, peak_stream, _ = run_fit(streamed=True, tracked=True)
     peak_ratio = peak_stream / peak_memory
@@ -172,6 +185,7 @@ def test_streaming_vs_inmemory(fitted_normalizer, sharded_store, bench_scale):
         "merged_paths_per_batch": 1104,
         "stream_window": streaming_config["stream_window"],
         "prefetch_depth": streaming_config["prefetch_depth"],
+        "speed_pairs": SPEED_PAIRS,
         "samples_per_sec": {"in_memory": speed_memory, "streamed": speed_stream},
         "peak_bytes": {"in_memory": peak_memory, "streamed": peak_stream},
         "peak_live_batches": {"in_memory": live_memory, "streamed": live_stream},
@@ -183,6 +197,9 @@ def test_streaming_vs_inmemory(fitted_normalizer, sharded_store, bench_scale):
           f"peak {peak_memory / 1e6:7.2f} MB   {live_memory} live batches")
     print(f"  streamed : {speed_stream:7.2f} samples/s   "
           f"peak {peak_stream / 1e6:7.2f} MB   {live_stream} live batches")
+    print("  pairs    : " + "  ".join(f"{m:.2f}/{s:.2f}" for m, s in
+                                   zip(speeds[False], speeds[True]))
+          + " samples/s (in-memory/streamed)")
     print(f"  ratios   : speed {speed_ratio:.3f}x (bar ≥ 0.8), "
           f"peak {peak_ratio:.3f}x (bar ≤ 0.5)")
 

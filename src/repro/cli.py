@@ -36,7 +36,7 @@ from repro.models.config import RouteNetConfig
 from repro.models.extended import ExtendedRouteNet
 from repro.models.routenet import RouteNet
 from repro.models.trainer import RouteNetTrainer, TrainerConfig, evaluate_model
-from repro.nn.serialization import load_checkpoint, read_checkpoint_metadata, save_checkpoint
+from repro.nn.serialization import load_parameters, read_checkpoint_metadata, save_checkpoint
 from repro.pipeline import run_fig2_experiment
 
 __all__ = ["main", "build_parser"]
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="data-parallel worker processes: each optimisation "
                             "step averages the gradients of up to this many "
                             "batches (path-weighted) computed on model "
-                            "replicas; 1 keeps the serial loop")
+                            "replicas; 1 takes one batch per step, "
+                            "in-process")
     train.add_argument("--task-timeout", type=float, default=None,
                        help="with --num-workers > 1: seconds a gradient worker "
                             "may spend on one task before it is presumed hung "
@@ -152,10 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate a trained model")
     evaluate.add_argument("--dataset", required=True)
-    evaluate.add_argument("--model", choices=sorted(_MODELS), default="extended")
+    evaluate.add_argument("--model", choices=sorted(_MODELS), default=None,
+                          help="default: the checkpoint's recorded model, "
+                               "extended if absent")
     evaluate.add_argument("--weights", required=True)
-    evaluate.add_argument("--state-dim", type=int, default=16)
-    evaluate.add_argument("--iterations", type=int, default=4)
+    evaluate.add_argument("--state-dim", type=int, default=None,
+                          help="default: the checkpoint's recorded state_dim, "
+                               "16 if absent")
+    evaluate.add_argument("--iterations", type=int, default=None,
+                          help="default: the checkpoint's recorded iterations, "
+                               "4 if absent")
     evaluate.add_argument("--dtype", choices=["float32", "float64"], default=None,
                           help="inference precision (default: the dtype recorded "
                                "in the checkpoint metadata, float64 if absent)")
@@ -285,16 +292,24 @@ def _command_train(args: argparse.Namespace) -> int:
 
 def _command_evaluate(args: argparse.Namespace) -> int:
     samples, normalizer, _ = load_dataset(args.dataset)
-    # Default the precision to whatever the checkpoint was trained at.
-    dtype = args.dtype or read_checkpoint_metadata(args.weights).get("dtype")
-    model = _build_model(args.model, args.state_dim, args.iterations, dtype=dtype)
-    metadata = load_checkpoint(model, args.weights)
+    # Build the model the checkpoint was trained as: a flag left unset
+    # takes the setting the sidecar records.
+    metadata = read_checkpoint_metadata(args.weights)
+
+    def setting(flag, key, default):
+        return flag if flag is not None else metadata.get(key, default)
+
+    name = setting(args.model, "model", "extended")
+    dtype = setting(args.dtype, "dtype", None)
+    model = _build_model(name, setting(args.state_dim, "state_dim", 16),
+                         setting(args.iterations, "iterations", 4), dtype=dtype)
+    load_parameters(model, args.weights)
     if normalizer is None and "normalizer" in metadata:
         normalizer = FeatureNormalizer.from_dict(metadata["normalizer"])
     if normalizer is None:
         raise SystemExit("no normalizer available: regenerate the dataset or retrain")
     metrics = evaluate_model(model, samples, normalizer, dtype=dtype)
-    print(f"model={args.model} paths={metrics['num_paths']}")
+    print(f"model={name} paths={metrics['num_paths']}")
     print(f"mean relative error   : {metrics['mean_relative_error']:.4f}")
     print(f"median relative error : {metrics['median_relative_error']:.4f}")
     print(f"MAPE                  : {metrics['mape_percent']:.2f}%")

@@ -19,10 +19,10 @@ from repro.datasets.sample import Sample
 from repro.datasets.sharded import ShardedDatasetReader, is_sharded_store
 from repro.datasets.tensorize import TensorizedSample, tensorize_sample
 from repro.nn import metrics as nn_metrics
-from repro.nn.losses import huber_loss, mse_loss
+from repro.nn.losses import LOSSES
 from repro.nn.module import Module
 from repro.nn.optimizers import Adam, clip_gradients_by_norm
-from repro.nn.parallel import make_gradient_executor, path_weighted_average
+from repro.nn.parallel import _backward, make_gradient_executor, path_weighted_average
 from repro.nn.tensor import DTypeLike, Tensor, no_grad, resolve_dtype
 from repro.nn.training import EarlyStopping, History
 
@@ -63,34 +63,31 @@ class TrainerConfig:
     batches are visited in.  Turn it off to recover the per-epoch
     shuffle-and-merge of arbitrary scenario mixes.
 
-    ``num_workers`` turns on synchronous data-parallel training (see
-    :mod:`repro.nn.parallel`): each optimisation step consumes a *group* of
-    up to ``num_workers`` batches whose gradients are computed concurrently
-    on model replicas and path-weight-averaged before a single optimiser
-    step.  ``1`` (the default) keeps the historical one-batch-per-step
-    serial loop.  Note the group size is part of the update semantics: a
-    ``num_workers=4`` run takes 4x fewer, smoother optimiser steps per
-    epoch than a serial run over the same batches (exactly like increasing
-    the world size of distributed data-parallel training).  Each group
-    step is synchronous: broadcast the parameters, compute the members'
-    gradients, average them, take the optimiser step.  The process
-    pool's parallelism is its workers, so each worker runs NumPy's
-    OpenBLAS on one thread (no setting; on a BLAS without the OpenBLAS
-    thread API the workers keep the library's default); the parent and
-    the ``serial`` backend keep NumPy's default.
+    ``num_workers`` sets the group size of synchronous data-parallel
+    training (see :mod:`repro.nn.parallel`): each optimisation step
+    consumes a *group* of up to ``num_workers`` batches, a persistent pool
+    of worker processes computes their gradients concurrently on model
+    replicas, and the trainer path-weight-averages them before a single
+    optimiser step.  ``1`` (the default) is the group of one: one batch
+    per step, computed in the trainer's own process.  Note the group size is part
+    of the update semantics: a ``num_workers=4`` run takes 4x fewer,
+    smoother optimiser steps per epoch than a ``num_workers=1`` run over
+    the same batches (exactly like increasing the world size of
+    distributed data-parallel training).  Each group step is synchronous:
+    broadcast the parameters, compute the members' gradients, average
+    them, take the optimiser step.  The pool's parallelism is its workers,
+    so each worker runs NumPy's OpenBLAS on one thread (no setting; on a
+    BLAS without the OpenBLAS thread API the workers keep the library's
+    default); the parent keeps NumPy's default.
 
-    ``parallel_backend`` selects the execution engine for
-    ``num_workers > 1``: ``"process"`` (default) runs a persistent
-    multiprocessing worker pool; ``"serial"`` executes the identical grouped
-    semantics in-process — same parameter trajectory bit for bit — which is
-    useful on single-core machines and for determinism tests.  When the
-    process pool cannot start at all, ``fit`` degrades to the serial
-    backend with a warning instead of failing the run; a worker that dies
-    or hangs *mid-run* is respawned by the pool itself and its work
-    re-dispatched bit-identically (see :mod:`repro.supervision`).
-    ``task_timeout`` bounds one gradient task's wall time on the process
-    backend — a worker exceeding it is presumed hung, killed and
-    respawned; ``None`` (default) disables the bound.
+    When the pool cannot start at all, ``fit`` warns and computes every
+    group's gradients in-process instead (the same kernel on the same
+    parameters, so the same trajectory bit for bit, without the speed-up)
+    rather than failing the run; a worker that dies or hangs *mid-run* is
+    respawned by the pool itself and its work re-dispatched bit-identically
+    (see :mod:`repro.supervision`).  ``task_timeout`` bounds one gradient
+    task's wall time in the pool — a worker exceeding it is presumed hung,
+    killed and respawned; ``None`` (default) disables the bound.
 
     ``prefetch_depth`` bounds how many merged batches each epoch's producer
     thread queues ahead of the training step, for either data source of
@@ -117,7 +114,6 @@ class TrainerConfig:
     dtype: Optional[str] = None
     early_stopping_patience: Optional[int] = None
     num_workers: int = 1
-    parallel_backend: str = "process"
     task_timeout: Optional[float] = None
     prefetch_depth: int = 2
     stream_window: int = 64
@@ -131,8 +127,8 @@ class TrainerConfig:
             raise ValueError("batch_size must be at least 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.loss not in ("mse", "huber"):
-            raise ValueError("loss must be 'mse' or 'huber'")
+        if self.loss not in LOSSES:
+            raise ValueError(f"loss must be one of {', '.join(map(repr, LOSSES))}")
         if self.target not in ("delay", "jitter", "loss"):
             raise ValueError("target must be 'delay', 'jitter' or 'loss'")
         if self.gradient_clip_norm < 0:
@@ -144,8 +140,6 @@ class TrainerConfig:
             raise ValueError("early_stopping_patience must be None or at least 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if self.parallel_backend not in ("process", "serial"):
-            raise ValueError("parallel_backend must be 'process' or 'serial'")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
         if self.prefetch_depth < 1:
@@ -172,14 +166,6 @@ class RouteNetTrainer:
         self._rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------ #
-    def _loss(self, predictions: Tensor, targets: np.ndarray) -> Tensor:
-        # Targets join the graph at the predictions' precision so a float32
-        # model is not silently promoted back to float64 by the loss.
-        target_tensor = Tensor(np.asarray(targets, dtype=predictions.data.dtype))
-        if self.config.loss == "huber":
-            return huber_loss(predictions, target_tensor)
-        return mse_loss(predictions, target_tensor)
-
     def prepare(self, samples: Sequence[Sample]) -> List[TensorizedSample]:
         """Tensorise samples with the trainer's normaliser (fitting it if needed).
 
@@ -194,19 +180,15 @@ class RouteNetTrainer:
                 for sample in samples]
 
     # ------------------------------------------------------------------ #
-    def train_step(self, sample: TensorizedSample) -> float:
-        """One optimisation step on a single (tensorised) sample."""
-        self.optimizer.zero_grad()
-        predictions = self.model(sample)
-        loss = self._loss(predictions, sample.targets)
-        loss.backward()
-        value = float(loss.item())
-        self._update([value])
-        return value
+    def train_step(self, batch: TensorizedSample) -> float:
+        """One optimisation step on one tensorised (possibly merged) batch,
+        computed in-process: the group of one.  Returns its loss."""
+        (loss,), _ = self._train_group(None, [batch])
+        return loss
 
     def _update(self, losses: Sequence[float]) -> None:
-        """The tail of every step, serial or group: clip the gradient in
-        place, refuse a non-finite update, take the optimiser step.
+        """The tail of every step: clip the gradient in place, refuse a
+        non-finite update, take the optimiser step.
 
         ``clip_gradients_by_norm`` returns the pre-clip norm (and scales
         nothing when ``gradient_clip_norm`` is 0).  A NaN or infinite loss
@@ -232,34 +214,56 @@ class RouteNetTrainer:
         """
         if not samples:
             raise ValueError("evaluate_loss needs at least one sample")
+        loss_function = LOSSES[self.config.loss]
         total = 0.0
         weight = 0
         with no_grad():
             for sample in samples:
                 predictions = self.model(sample)
-                loss = float(self._loss(predictions, sample.targets).item())
+                # Targets join at the predictions' precision, so a float32
+                # model is not promoted back to float64 by the loss.
+                targets = Tensor(np.asarray(sample.targets,
+                                            dtype=predictions.data.dtype))
+                loss = float(loss_function(predictions, targets).item())
                 total += loss * sample.num_paths
                 weight += sample.num_paths
         return total / weight
 
-    def _train_group(self, executor, batches: List[TensorizedSample],
+    def _train_group(self, pool, batches: List[TensorizedSample],
                      ) -> Tuple[List[float], List[int]]:
-        """One synchronous data-parallel step over a group of batches.
+        """One synchronous step over a group of batches: the one step
+        :meth:`fit` takes.
 
-        The batches travel inside the step messages.  The current
-        parameters are broadcast, the members' gradients computed, and
-        their **path-weighted average** ``sum_i(num_paths_i * g_i) /
-        sum_i(num_paths_i)`` taken: the weighting :meth:`evaluate_loss`
+        With a ``pool`` (a :class:`~repro.nn.parallel.GradientWorkerPool`)
+        the current parameters are broadcast and each batch travels to a
+        worker inside its step message; with ``pool=None`` the trainer runs
+        the workers' kernel on its own model, member by member.  The
+        members' **path-weighted average** gradient ``sum_i(num_paths_i *
+        g_i) / sum_i(num_paths_i)`` is the weighting :meth:`evaluate_loss`
         applies to losses, so the update equals the gradient of the mean
         per-path loss over every path in the group, exactly as if the group
-        had been merged into one giant batch.  Clipping and the optimiser
-        step then run once on the averaged gradient.
+        had been merged into one giant batch; a group of one steps on its
+        batch's own gradient.  Clipping and the optimiser step then run
+        once on the averaged gradient.
 
         Returns the per-batch losses and path counts (for epoch-loss
-        weighting, identical to the serial bookkeeping).
+        weighting).
         """
-        executor.submit_group_payload(self.model.parameters_vector(), batches)
-        results = executor.collect_group()
+        if pool is None:
+            # ``graph`` (the last member's loss) keeps its autograd graph
+            # alive until the optimiser step is taken, as a plain training
+            # loop does.  Freed before the step, the graph sits at the top
+            # of the heap, glibc trims it there every step, and the next
+            # step faults its pages back in: 5-7x the minor page faults and
+            # about 8% of ``train``'s samples/s on a 2-CPU host.
+            results = []
+            for batch in batches:
+                graph = _backward(self.model, batch, self.config.loss)
+                results.append((self.model.gradients_vector(), float(graph.item()),
+                                int(batch.num_paths)))
+        else:
+            pool.submit_group_payload(self.model.parameters_vector(), batches)
+            results = pool.collect_group()
         losses = [r[1] for r in results]
         weights = [r[2] for r in results]
         self.model.load_gradients_vector(
@@ -309,11 +313,11 @@ class RouteNetTrainer:
         ``N``-epoch run.  Early stopping state is *not* carried across fits
         — each call starts a fresh patience window.
 
-        With ``config.num_workers > 1`` the epoch's batches are processed in
-        data-parallel groups of consecutive batches, one synchronous step
-        each (see :meth:`_train_group`); the executor — a multiprocessing
-        worker pool, or its in-process serial twin — lives for the duration
-        of this call.
+        Every step is one synchronous group of up to ``config.num_workers``
+        consecutive batches (see :meth:`_train_group`).  With
+        ``num_workers > 1`` a multiprocessing worker pool, alive for the
+        duration of this call, computes the members' gradients; otherwise,
+        or when the pool fails to start, the trainer computes them itself.
 
         A step whose loss or gradient norm is NaN or infinite raises
         :class:`FloatingPointError` naming the epoch and the batch (or
@@ -364,26 +368,24 @@ class RouteNetTrainer:
         stopper = (EarlyStopping(patience=self.config.early_stopping_patience, min_delta=1e-6)
                    if self.config.early_stopping_patience else None)
 
-        executor = None
+        pool = None
         if self.config.num_workers > 1:
             try:
-                executor = make_gradient_executor(
+                pool = make_gradient_executor(
                     self.model, self.config.num_workers,
                     loss=self.config.loss,
-                    backend=self.config.parallel_backend,
                     task_timeout=self.config.task_timeout)
             except Exception as error:  # noqa: BLE001 - degrade, don't die
                 # Pool start-up failure (fork refused, pipe limits, a worker
-                # crashing in its handshake).  The serial backend computes
+                # crashing in its handshake).  In-process groups compute
                 # the identical parameter trajectory, just without the
                 # wall-clock win — strictly better than failing the run.
                 warnings.warn(
                     f"gradient worker pool failed to start ({error}); "
-                    "falling back to the serial backend (identical results, "
-                    "no parallel speed-up)", RuntimeWarning, stacklevel=2)
-                executor = make_gradient_executor(
-                    self.model, self.config.num_workers,
-                    loss=self.config.loss, backend="serial")
+                    "falling back to in-process gradients (identical "
+                    "results, no parallel speed-up)", RuntimeWarning,
+                    stacklevel=2)
+        unit = "batch" if self.config.num_workers == 1 else "group"
 
         start_epoch = self.history.epochs[-1] if self.history.epochs else 0
         try:
@@ -392,8 +394,7 @@ class RouteNetTrainer:
                 items = (train_items if reader is None else tensorize_stream(
                     reader, self.normalizer, target=self.config.target,
                     dtype=self.config.dtype))
-                losses, weights = [], []
-                unit, number = ("batch" if executor is None else "group"), 0
+                losses, weights, number = [], [], 0
                 # Leaving the block joins the producer, which draws from
                 # self._rng, before anything else touches it.
                 with BatchPrefetcher(items, self.config.batch_size,
@@ -402,19 +403,14 @@ class RouteNetTrainer:
                                      rng=self._rng if self.config.shuffle else None,
                                      prefetch_depth=self.config.prefetch_depth,
                                      merge=memo) as batches:
+                    # Consecutive groups of up to num_workers batches.
+                    groups = iter(lambda: list(itertools.islice(
+                        batches, self.config.num_workers)), [])
                     try:
-                        if executor is None:
-                            for number, batch in enumerate(batches):
-                                losses.append(self.train_step(batch))
-                                weights.append(batch.num_paths)
-                        else:
-                            # Consecutive groups of up to num_workers batches.
-                            groups = iter(lambda: list(itertools.islice(
-                                batches, self.config.num_workers)), [])
-                            for number, group in enumerate(groups):
-                                group_losses, group_weights = self._train_group(executor, group)
-                                losses.extend(group_losses)
-                                weights.extend(group_weights)
+                        for number, group in enumerate(groups):
+                            group_losses, group_weights = self._train_group(pool, group)
+                            losses.extend(group_losses)
+                            weights.extend(group_weights)
                     except FloatingPointError as error:
                         raise FloatingPointError(
                             f"epoch {epoch}, {unit} {number}: {error}") from None
@@ -443,8 +439,8 @@ class RouteNetTrainer:
                     if stopper.update(monitored, epoch):
                         break
         finally:
-            if executor is not None:
-                executor.close()
+            if pool is not None:
+                pool.close()
         return self.history
 
     # ------------------------------------------------------------------ #
@@ -553,10 +549,10 @@ class RouteNetTrainer:
         # Settings that silently change what is being optimised must match;
         # epochs (each fit trains that many *more*), learning_rate (a
         # deliberate fine-tuning knob; the schedule is re-derived from it),
-        # parallel_backend (bit-identical engines), task_timeout,
-        # prefetch_depth (a queue bound), seed (the restored RNG state
-        # supersedes it) and log_every are free to differ, and settings this
-        # version no longer has (``overlap``, a pipelining switch that never
+        # task_timeout, prefetch_depth (a queue bound), seed (the restored
+        # RNG state supersedes it) and log_every are free to differ, and
+        # settings this version no longer has (``overlap``, a pipelining
+        # switch, and ``parallel_backend``, an engine choice; neither ever
         # changed an update) are ignored.  stream_window must match because
         # it decides streamed batch membership.
         saved_config = metadata.get("trainer_config", {})

@@ -72,7 +72,6 @@ from repro.nn.initializers import (
 )
 from repro.nn.parallel import (
     GradientWorkerPool,
-    SerialGradientExecutor,
     make_gradient_executor,
     path_weighted_average,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "normal_init",
     "zeros_init",
     "GradientWorkerPool",
-    "SerialGradientExecutor",
     "make_gradient_executor",
     "path_weighted_average",
     "save_parameters",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.nn.tensor import Tensor, as_tensor, where
 
-__all__ = ["mse_loss", "mae_loss", "huber_loss", "mape_loss", "log_mse_loss"]
+__all__ = ["mse_loss", "mae_loss", "huber_loss", "mape_loss", "log_mse_loss", "LOSSES"]
 
 
 def _validate(predictions: Tensor, targets: Tensor) -> None:
@@ -39,6 +39,12 @@ def huber_loss(predictions, targets, delta: float = 1.0) -> Tensor:
     quadratic = 0.5 * (error ** 2)
     linear = delta * abs_error - 0.5 * delta ** 2
     return where(abs_error.data <= delta, quadratic, linear).mean()
+
+
+#: The training losses by name: ``TrainerConfig.loss`` must be a key, and
+#: the trainer's evaluation and every training gradient (in-process or in
+#: a pool worker) look the function up here.
+LOSSES = {"mse": mse_loss, "huber": huber_loss}
 
 
 def mape_loss(predictions, targets, epsilon: float = 1e-8) -> Tensor:

@@ -20,10 +20,11 @@ group gradient is the **path-weighted average** of the per-batch gradients
 applies to losses, so the group gradient equals the gradient of the mean
 per-path loss over all paths in the group, exactly as if the group had been
 merged into one giant disjoint-union batch.  The update rule therefore
-depends only on ``num_workers`` (the group size), not on which engine runs
-the members: :class:`SerialGradientExecutor` executes the identical
-semantics in-process, and the equivalence tests hold the two engines to
-bit-identical parameter trajectories.
+depends only on ``num_workers`` (the group size), not on where the members
+are computed: without a pool (``num_workers=1``, or a pool that failed to
+start) the trainer runs the same :func:`_backward` on its own model, and
+the equivalence tests hold the pool to bit-identical parameter
+trajectories against it.
 
 Shared-memory parameter broadcast
 ---------------------------------
@@ -57,10 +58,10 @@ its OpenBLAS to one thread when it starts (:func:`_limit_blas_threads`).
 There is no setting for it: on one thread a worker's batch took 163 ms,
 no longer than the parent's 168 ms on all of its BLAS threads.  On a
 BLAS without the OpenBLAS thread API the workers keep the library's
-default.  The parent is left alone, so the serial executor, validation,
-``train`` and ``predict`` run as before.  The process==serial
-bit-identity tests include a model and batch size at which the parent's
-OpenBLAS does run several threads.
+default.  The parent is left alone, so its in-process gradients,
+validation, ``train`` and ``predict`` run as before.  The pool's
+bit-identity tests against them include a model and batch size at which
+the parent's OpenBLAS does run several threads.
 
 Fault tolerance
 ---------------
@@ -88,7 +89,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.losses import huber_loss, mse_loss
+from repro.nn.losses import LOSSES
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.supervision import Farm, Lost, SupervisionPolicy
@@ -96,7 +97,6 @@ from repro.testing.faults import fault_point
 
 __all__ = [
     "GradientWorkerPool",
-    "SerialGradientExecutor",
     "make_gradient_executor",
     "path_weighted_average",
 ]
@@ -116,9 +116,9 @@ def path_weighted_average(vectors: Sequence[np.ndarray],
     the path counts back).  Matches the loss weighting of
     ``RouteNetTrainer.evaluate_loss``.
 
-    A single-element group returns its vector unchanged (bit-exact with the
-    one-batch-per-step serial path).  The accumulation preserves the input
-    dtype: float32 gradients are averaged in float32.
+    A single-element group returns its vector unchanged, so a group of one
+    steps on exactly its batch's gradient.  The accumulation preserves the
+    input dtype: float32 gradients are averaged in float32.
     """
     if len(vectors) != len(weights):
         raise ValueError("one weight per gradient vector is required")
@@ -133,26 +133,25 @@ def path_weighted_average(vectors: Sequence[np.ndarray],
     return accumulated
 
 
-def _compute_gradient(model: Module, batch, loss_name: str) -> GradientResult:
-    """Forward + backward on one batch; the single compute kernel every
-    execution engine (worker process or serial executor) runs, so their
-    results are bit-identical for identical parameters and batch."""
+def _backward(model: Module, batch, loss_name: str) -> Tensor:
+    """Forward, loss and backward on one batch: the one kernel every
+    training gradient comes from, in a pool worker or in the trainer's own
+    process, so both give bit-identical gradients for identical parameters
+    and batch.  Leaves the gradients on ``model``'s parameters and returns
+    the loss, which holds the batch's autograd graph while it is kept."""
     model.zero_grad()
     predictions = model(batch)
     targets = Tensor(np.asarray(batch.targets, dtype=predictions.data.dtype))
-    if loss_name == "huber":
-        loss = huber_loss(predictions, targets)
-    elif loss_name == "mse":
-        loss = mse_loss(predictions, targets)
-    else:
-        raise ValueError(f"unknown loss '{loss_name}'")
+    loss = LOSSES[loss_name](predictions, targets)
     loss.backward()
+    return loss
+
+
+def _compute_gradient(model: Module, batch, loss_name: str) -> GradientResult:
+    """A worker's answer for one batch: :func:`_backward`, then
+    ``(flat_gradient, loss, num_paths)``."""
+    loss = _backward(model, batch, loss_name)
     return model.gradients_vector(), float(loss.item()), int(batch.num_paths)
-
-
-def _replicate(model: Module) -> Module:
-    """A fresh replica via a pickle round-trip (bit-identical parameters)."""
-    return pickle.loads(pickle.dumps(model))
 
 
 #: OpenBLAS thread-count setters, tried in order: the ILP64 build NumPy's
@@ -181,8 +180,8 @@ def _openblas_paths() -> List[str]:
 def _limit_blas_threads() -> None:
     """Run this process's OpenBLAS on one thread (see "One BLAS thread per
     worker" above).  Does nothing, and never raises, on any other BLAS or
-    platform: a worker that failed to start would send ``fit`` to the
-    serial backend."""
+    platform: a worker that failed to start would leave ``fit`` computing
+    in-process."""
     for path in _openblas_paths():
         try:
             library = ctypes.CDLL(path)
@@ -226,83 +225,7 @@ class _GradientWorker:
         return _compute_gradient(self.model, batch, self.loss_name)
 
 
-class _ExecutorBase:
-    """Shared bookkeeping for both execution engines.
-
-    Both engines expose the same two-phase interface:
-    :meth:`submit_group_payload` hands a group of batches out (at most one
-    group in flight), :meth:`collect_group` returns its results.
-    """
-
-    def __init__(self) -> None:
-        self._in_flight: Optional[int] = None
-
-    def _check_idle(self) -> None:
-        if self._in_flight is not None:
-            raise RuntimeError(
-                "a group is already in flight; collect_group() it first")
-
-    def submit_group_payload(self, flat_params: np.ndarray,
-                             batches: Sequence) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def collect_group(self) -> List[GradientResult]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class SerialGradientExecutor(_ExecutorBase):
-    """In-process engine with the exact semantics of :class:`GradientWorkerPool`.
-
-    Runs every group member sequentially on a pickle-round-tripped replica —
-    no processes, no IPC — so ``num_workers > 1`` training can be executed
-    (and debugged, and tested for bit-exact equivalence) on a single core.
-    :meth:`submit_group_payload` merely records the batches and the
-    parameters; the compute happens at :meth:`collect_group`.
-    """
-
-    def __init__(self, model: Module, num_workers: int = 1, loss: str = "mse") -> None:
-        super().__init__()
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        self.num_workers = num_workers
-        self._loss_name = loss
-        self._replica = _replicate(model)
-        self._pending = None
-
-    def submit_group_payload(self, flat_params: np.ndarray,
-                             batches: Sequence) -> None:
-        self._check_idle()
-        self._pending = (list(batches), np.asarray(flat_params))
-        self._in_flight = len(self._pending[0])
-
-    def collect_group(self) -> List[GradientResult]:
-        if self._pending is None:
-            raise RuntimeError("no group in flight")
-        batches, flat_params = self._pending
-        self._pending = None
-        self._in_flight = None
-        results = []
-        for batch in batches:
-            self._replica.load_parameters_vector(flat_params)
-            results.append(_compute_gradient(self._replica, batch,
-                                             self._loss_name))
-        return results
-
-    def close(self) -> None:
-        self._pending = None
-        self._in_flight = None
-
-
-class GradientWorkerPool(_ExecutorBase):
+class GradientWorkerPool:
     """A persistent pool of worker processes computing per-batch gradients.
 
     Each worker is started once with a pickled replica of ``model`` and kept
@@ -329,10 +252,10 @@ class GradientWorkerPool(_ExecutorBase):
 
     def __init__(self, model: Module, num_workers: int = 1, loss: str = "mse",
                  task_timeout: Optional[float] = None) -> None:
-        super().__init__()
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         self.num_workers = num_workers
+        self._in_flight: Optional[int] = None
         # The broadcast buffer: one flat parameter vector in shared memory,
         # rewritten only while no group is in flight (see the module
         # docstring).
@@ -341,8 +264,8 @@ class GradientWorkerPool(_ExecutorBase):
         self._param_count = int(template.size)
         self._param_buffer = mp.RawArray(
             "b", max(1, self._param_count * self._param_dtype.itemsize))
-        # Start-up failures propagate (the trainer degrades to the serial
-        # backend); the restart budget only covers later faults.
+        # Start-up failures propagate (the trainer then computes its groups
+        # in-process); the restart budget only covers later faults.
         self._farm = Farm(
             num_workers, _GradientWorker,
             (pickle.dumps((model, loss)), self._param_buffer,
@@ -382,7 +305,9 @@ class GradientWorkerPool(_ExecutorBase):
         gathers the gradients.  The parameters are published to shared
         memory *now*, so the caller may keep mutating its own model
         afterwards."""
-        self._check_idle()
+        if self._in_flight is not None:
+            raise RuntimeError(
+                "a group is already in flight; collect_group() it first")
         flat = np.asarray(flat_params, dtype=self._param_dtype).reshape(-1)
         if flat.size != self._param_count:
             raise ValueError(
@@ -415,6 +340,12 @@ class GradientWorkerPool(_ExecutorBase):
         """Shut the workers down (best effort, safe to call repeatedly)."""
         self._farm.close()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown path
         try:
             self.close()
@@ -423,20 +354,12 @@ class GradientWorkerPool(_ExecutorBase):
 
 
 def make_gradient_executor(model: Module, num_workers: int, loss: str = "mse",
-                           backend: str = "process",
-                           task_timeout: Optional[float] = None):
-    """Build the gradient execution engine for data-parallel training.
+                           task_timeout: Optional[float] = None) -> GradientWorkerPool:
+    """Start the gradient worker pool for data-parallel training.
 
-    ``backend="process"`` returns a :class:`GradientWorkerPool`;
-    ``backend="serial"`` returns a :class:`SerialGradientExecutor` with
-    identical update semantics (useful on single-core machines and for the
-    bit-exact process-vs-serial equivalence tests).  ``task_timeout``
-    bounds one gradient task's wall time on the process backend (a hung
-    worker is killed and respawned); the serial backend ignores it.
+    ``task_timeout`` bounds one gradient task's wall time (a hung worker is
+    killed and respawned).  A start-up failure raises; the trainer then
+    computes its groups in-process.
     """
-    if backend == "process":
-        return GradientWorkerPool(model, num_workers, loss=loss,
-                                  task_timeout=task_timeout)
-    if backend == "serial":
-        return SerialGradientExecutor(model, num_workers, loss=loss)
-    raise ValueError(f"unknown parallel backend '{backend}' (use 'process' or 'serial')")
+    return GradientWorkerPool(model, num_workers, loss=loss,
+                              task_timeout=task_timeout)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -14,19 +14,38 @@ __all__ = ["save_parameters", "load_parameters", "save_checkpoint", "load_checkp
            "read_checkpoint_metadata"]
 
 
+def _replace_all(writers: Dict[str, Callable[[str], None]]) -> None:
+    """Write every file under a temporary name, then rename each into place.
+
+    ``writers`` maps each destination path to a function writing that file
+    at the path it is given.  A writer that raises leaves every previous
+    file untouched and removes the temporaries, so a save that fails
+    partway never leaves a truncated archive where a good one was.
+    """
+    temporaries: Dict[str, str] = {}
+    try:
+        for path, write in writers.items():
+            # Keeping the extension stops np.savez_compressed from appending
+            # a second ".npz" to the temporary name.
+            temporaries[path] = path + ".tmp" + os.path.splitext(path)[1]
+            write(temporaries[path])
+    except BaseException:
+        for temporary in temporaries.values():
+            if os.path.exists(temporary):
+                os.remove(temporary)
+        raise
+    for path, temporary in temporaries.items():
+        os.replace(temporary, path)
+
+
 def save_parameters(module: Module, path: str) -> str:
     """Save every parameter of ``module`` to a compressed ``.npz`` file.
 
     Returns the path written (with the ``.npz`` suffix added if missing).
+    The archive is written under a temporary name and renamed into place,
+    so a save that fails partway leaves the previous file loadable.
     """
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    state = module.state_dict()
-    # ``/`` is not a legal npz key separator on all platforms; keep dots.
-    np.savez_compressed(path, **state)
-    return path
+    return save_checkpoint(module, path)
 
 
 def load_parameters(module: Module, path: str, strict: bool = True) -> Module:
@@ -42,13 +61,27 @@ def load_parameters(module: Module, path: str, strict: bool = True) -> Module:
 
 
 def save_checkpoint(module: Module, path: str, metadata: Optional[dict] = None) -> str:
-    """Save parameters plus a JSON sidecar of training metadata."""
-    written = save_parameters(module, path)
+    """Save parameters plus, given ``metadata``, a JSON sidecar of it.
+
+    Both files are written in full under temporary names before either is
+    renamed into place, so a save that fails partway leaves the previous
+    weights and sidecar in place, loadable and matching.  Returns the
+    ``.npz`` path written.
+    """
+    if not path.endswith(".npz"):
+        path = path + ".npz"
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    state = module.state_dict()
+    # ``/`` is not a legal npz key separator on all platforms; keep dots.
+    writers = {path: lambda temporary: np.savez_compressed(temporary, **state)}
     if metadata is not None:
-        sidecar = written[: -len(".npz")] + ".json"
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            json.dump(metadata, handle, indent=2, sort_keys=True)
-    return written
+        def write_sidecar(temporary: str) -> None:
+            with open(temporary, "w", encoding="utf-8") as handle:
+                json.dump(metadata, handle, indent=2, sort_keys=True)
+
+        writers[path[: -len(".npz")] + ".json"] = write_sidecar
+    _replace_all(writers)
+    return path
 
 
 def read_checkpoint_metadata(path: str) -> dict:

@@ -111,6 +111,24 @@ class TestCLI:
                      "--state-dim", "6", "--iterations", "2",
                      "--weights", checkpoint_path]) == 0
 
+    def test_evaluate_builds_the_recorded_model(self, tmp_path, capsys):
+        """evaluate builds the model, state size and iteration count the
+        checkpoint records; an explicit flag still wins."""
+        dataset_path = str(tmp_path / "dataset")
+        checkpoint_path = str(tmp_path / "model")
+        assert main(["generate", "--topology", "nsfnet", "--samples", "6",
+                     "--seed", "1", "--output", dataset_path]) == 0
+        assert main(["train", "--dataset", dataset_path, "--model", "original",
+                     "--epochs", "1", "--state-dim", "8", "--iterations", "2",
+                     "--output", checkpoint_path]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", dataset_path,
+                     "--weights", checkpoint_path]) == 0
+        assert "model=original" in capsys.readouterr().out
+        with pytest.raises(ValueError, match="shape mismatch"):
+            main(["evaluate", "--dataset", dataset_path, "--weights", checkpoint_path,
+                  "--state-dim", "16"])
+
     def test_generate_random_topology(self, tmp_path):
         dataset_path = str(tmp_path / "random-dataset")
         assert main(["generate", "--topology", "random", "--random-nodes", "8",

@@ -31,7 +31,8 @@ from repro.models import (
     TrainerConfig,
 )
 from repro.models.message_passing import build_index
-from repro.nn.tensor import no_grad
+from repro.nn.losses import LOSSES
+from repro.nn.tensor import Tensor, no_grad
 from repro.topology import linear_topology, ring_topology
 
 from tests.support import float_tolerance
@@ -139,7 +140,9 @@ class TestBatchedEvaluateLoss:
         with no_grad():
             for batch in batches:
                 predictions = trainer.model(batch)
-                per_item.append(float(trainer._loss(predictions, batch.targets).item()))
+                targets = Tensor(np.asarray(batch.targets, dtype=predictions.data.dtype))
+                loss = LOSSES[trainer.config.loss](predictions, targets)
+                per_item.append(float(loss.item()))
         weighted = trainer.evaluate_loss(batches)
         expected = (np.average(per_item, weights=[b.num_paths for b in batches]))
         assert weighted == pytest.approx(expected, abs=1e-12)
@@ -219,9 +222,9 @@ class TestBatchedFit:
         trainer = RouteNetTrainer(RouteNet(SMALL_CONFIG),
                                   TrainerConfig(epochs=2, batch_size=2, seed=14))
         stepped: list = []
-        original_train_step = trainer.train_step
-        trainer.train_step = lambda batch: (stepped.append(batch),
-                                            original_train_step(batch))[1]
+        original_train_group = trainer._train_group
+        trainer._train_group = lambda pool, group: (stepped.extend(group),
+                                                    original_train_group(pool, group))[1]
         trainer.fit(samples)
         total_paths = sum(t.num_paths for t in trainer.prepare(samples))
         batches_per_epoch = 3  # ceil(5 / 2)

@@ -152,7 +152,9 @@ def test_fit_checkpoint_path_saves_every_epoch(samples, tmp_path):
 
 def test_checkpoint_with_a_removed_setting_loads(samples, tmp_path):
     """Checkpoints whose trainer_config still holds ``overlap`` (a
-    pipelining switch that never changed an update) keep loading."""
+    pipelining switch that never changed an update) or ``parallel_backend``
+    (an engine choice, recorded by every checkpoint written while it
+    existed) keep loading, and resume bit-exactly."""
     trainer = _trainer(1)
     trainer.fit(samples)
     path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
@@ -160,10 +162,16 @@ def test_checkpoint_with_a_removed_setting_loads(samples, tmp_path):
         arrays = {key: archive[key] for key in archive.files}
     metadata = json.loads(str(arrays["meta.json"]))
     metadata["trainer_config"]["overlap"] = True
+    metadata["trainer_config"]["parallel_backend"] = "serial"
     arrays["meta.json"] = np.array(json.dumps(metadata))
     np.savez_compressed(path, **arrays)
     restored = _trainer(1)
     restored.load_checkpoint(path)
+    assert np.array_equal(restored.model.parameters_vector(),
+                          trainer.model.parameters_vector())
+    trainer.fit(samples)
+    restored.fit(samples)
+    assert restored.history.train_loss == trainer.history.train_loss
     assert np.array_equal(restored.model.parameters_vector(),
                           trainer.model.parameters_vector())
 
@@ -186,7 +194,7 @@ def test_trainer_config_validation():
     TrainerConfig(gradient_clip_norm=0.0)
     with pytest.raises(ValueError, match="num_workers"):
         TrainerConfig(num_workers=0)
-    with pytest.raises(ValueError, match="parallel_backend"):
-        TrainerConfig(parallel_backend="threads")
+    with pytest.raises(TypeError, match="parallel_backend"):
+        TrainerConfig(parallel_backend="serial")
     with pytest.raises(TypeError, match="overlap"):
         TrainerConfig(overlap=True)

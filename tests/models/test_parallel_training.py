@@ -3,9 +3,10 @@
 ``num_workers > 1`` training groups batches per optimiser step and
 path-weight-averages their gradients (see
 ``RouteNetTrainer._train_group``).  The update rule is a function of
-the group size only, never of the execution engine: the multiprocessing
-worker pool and its in-process serial twin must produce **bit-identical**
-parameter trajectories, in both RNN scan modes.  A group's averaged
+the group size only, never of where the gradients are computed: the
+multiprocessing worker pool and the in-process groups ``fit`` falls back
+to when the pool cannot start must produce **bit-identical** parameter
+trajectories, in both RNN scan modes.  A group's averaged
 gradient must also match the gradient of the group merged into one giant
 disjoint-union batch — the semantics the weighting is designed to give.
 """
@@ -16,9 +17,9 @@ import pytest
 from repro.datasets import DatasetConfig, generate_dataset
 from repro.datasets.batching import merge_tensorized_samples
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
-from repro.nn.parallel import SerialGradientExecutor, path_weighted_average
+from repro.nn.parallel import path_weighted_average
 from repro.topology import ring_topology
-from tests.support import float_tolerance
+from tests.support import float_tolerance, in_process_groups, replica_gradients
 
 NUM_SAMPLES = 8
 
@@ -30,24 +31,30 @@ def samples():
                                           small_queue_fraction=0.5))
 
 
-def _fit(samples, num_workers, backend="process", scan_mode="stream",
+def _fit(samples, num_workers, in_process=False, scan_mode="stream",
          batch_size=2, epochs=2, **config):
+    """A fitted trainer; ``in_process=True`` computes every group in this
+    process (the pool refuses to start), otherwise a worker pool does."""
     model = ExtendedRouteNet(RouteNetConfig(
         link_state_dim=8, path_state_dim=8, node_state_dim=8,
         message_passing_iterations=2, seed=5, scan_mode=scan_mode))
     trainer = RouteNetTrainer(model, TrainerConfig(
         epochs=epochs, learning_rate=0.005, batch_size=batch_size,
-        num_workers=num_workers, parallel_backend=backend, seed=5, **config))
-    trainer.fit(samples)
+        num_workers=num_workers, seed=5, **config))
+    if in_process:
+        with in_process_groups():
+            trainer.fit(samples)
+    else:
+        trainer.fit(samples)
     return trainer
 
 
 @pytest.mark.parametrize("scan_mode", ["compiled", "stream"])
 def test_process_pool_matches_serial_bit_exact(samples, scan_mode):
-    """The worker-pool engine and the serial engine run the same grouped
+    """The worker pool and the in-process groups run the same grouped
     update semantics: identical histories and bit-identical parameters."""
-    pooled = _fit(samples, num_workers=2, backend="process", scan_mode=scan_mode)
-    serial = _fit(samples, num_workers=2, backend="serial", scan_mode=scan_mode)
+    pooled = _fit(samples, num_workers=2, scan_mode=scan_mode)
+    serial = _fit(samples, num_workers=2, in_process=True, scan_mode=scan_mode)
     assert pooled.history.train_loss == serial.history.train_loss
     assert np.array_equal(pooled.model.parameters_vector(),
                           serial.model.parameters_vector())
@@ -66,18 +73,15 @@ def test_group_gradient_matches_merged_batch(samples):
     batch_a = merge_tensorized_samples(items[:2])
     batch_b = merge_tensorized_samples(items[2:5])
 
-    executor = SerialGradientExecutor(trainer.model, num_workers=2,
-                                      loss=trainer.config.loss)
     params = trainer.model.parameters_vector()
-    executor.submit_group_payload(params, [batch_a, batch_b])
-    results = executor.collect_group()
+    results = replica_gradients(trainer.model, params, [batch_a, batch_b],
+                                loss=trainer.config.loss)
     averaged = path_weighted_average([r[0] for r in results],
                                      [r[2] for r in results])
 
     merged = merge_tensorized_samples(items[:5])
-    executor.submit_group_payload(params, [merged])
-    (merged_grad, merged_loss, merged_paths), = executor.collect_group()
-    executor.close()
+    (merged_grad, merged_loss, merged_paths), = replica_gradients(
+        trainer.model, params, [merged], loss=trainer.config.loss)
 
     assert merged_paths == results[0][2] + results[1][2]
     group_loss = ((results[0][1] * results[0][2] + results[1][1] * results[1][2])
@@ -91,7 +95,7 @@ def test_group_gradient_matches_merged_batch(samples):
 
 def test_odd_group_sizes_are_handled(samples):
     """3 batches over 2 workers: a full group then a singleton group."""
-    trainer = _fit(samples[:6], num_workers=2, backend="serial", epochs=2)
+    trainer = _fit(samples[:6], num_workers=2, in_process=True, epochs=2)
     assert len(trainer.history.epochs) == 2
     # 6 samples at batch_size=2 -> 3 batches per epoch, all visited.
     assert trainer.optimizer.step_count == 2 * 2  # ceil(3 / 2) groups per epoch
@@ -100,10 +104,10 @@ def test_odd_group_sizes_are_handled(samples):
 def test_unbucketed_shuffled_batches_match_across_backends(samples):
     """Unbucketed, shuffled batching re-merges fresh batches every epoch,
     and every step message ships them; the worker pool must still compute
-    exactly what the serial engine does, epoch after epoch."""
-    pooled = _fit(samples, num_workers=2, backend="process", scan_mode="compiled",
+    exactly what the in-process groups do, epoch after epoch."""
+    pooled = _fit(samples, num_workers=2, scan_mode="compiled",
                   epochs=3, bucket_by_length=False)
-    serial = _fit(samples, num_workers=2, backend="serial", scan_mode="compiled",
+    serial = _fit(samples, num_workers=2, in_process=True, scan_mode="compiled",
                   epochs=3, bucket_by_length=False)
     assert len(pooled.history.epochs) == 3
     assert pooled.history.train_loss == serial.history.train_loss
@@ -115,7 +119,7 @@ def test_parallel_matches_manual_gradient_accumulation(samples):
     """num_workers=2 equals a hand-rolled grouped-update reference loop."""
     from repro.nn.optimizers import Adam, clip_gradients_by_norm
 
-    parallel = _fit(samples, num_workers=2, backend="serial", epochs=2)
+    parallel = _fit(samples, num_workers=2, in_process=True, epochs=2)
 
     # Same scan mode as _fit: the comparison is about grouped-update
     # semantics, and bit-exactness only holds within one executor.
@@ -123,25 +127,21 @@ def test_parallel_matches_manual_gradient_accumulation(samples):
         link_state_dim=8, path_state_dim=8, node_state_dim=8,
         message_passing_iterations=2, seed=5, scan_mode="stream"))
     reference = RouteNetTrainer(model, TrainerConfig(
-        epochs=2, learning_rate=0.005, batch_size=2, num_workers=2,
-        parallel_backend="serial", seed=5))
+        epochs=2, learning_rate=0.005, batch_size=2, num_workers=2, seed=5))
     items = reference.prepare(samples)
     from repro.datasets.batching import make_batches
     batches = make_batches(items, 2, bucket_by_length=True)
-    executor = SerialGradientExecutor(model, num_workers=2)
     rng = np.random.default_rng(5)
     for _ in range(2):
         order = rng.permutation(len(batches))
         for start in range(0, len(order), 2):
             group = [batches[i] for i in order[start:start + 2]]
-            executor.submit_group_payload(model.parameters_vector(), group)
-            results = executor.collect_group()
+            results = replica_gradients(model, model.parameters_vector(), group)
             grad = path_weighted_average([r[0] for r in results],
                                          [r[2] for r in results])
             model.load_gradients_vector(grad)
             clip_gradients_by_norm(model.parameters(), 1.0)
             reference.optimizer.step()
-    executor.close()
 
     assert np.array_equal(parallel.model.parameters_vector(),
                           model.parameters_vector())

@@ -5,9 +5,12 @@ produced by a :class:`~repro.datasets.prefetch.BatchPrefetcher`) must be an
 *execution* detail, never an update-semantics one: with a bucketing window
 covering the dataset, a streamed epoch builds exactly the batches the
 in-memory trainer merges and visits them in the same RNG order, so the
-parameter trajectories are **bit-identical** — in both RNN scan modes, under
-both parallel backends and at any prefetch depth.
+parameter trajectories are **bit-identical** — in both RNN scan modes, with
+2-member groups computed by a worker pool or in-process, and at any
+prefetch depth.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.datasets import (
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.topology import ring_topology
 from tests.datasets.legacy_formats import save_json_blob
+from tests.support import in_process_groups
 
 NUM_SAMPLES = 8
 
@@ -64,14 +68,15 @@ def _make_trainer(normalizer, scan_mode="stream", **config):
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_streamed_epoch_bit_identical_across_backends(samples, normalizer, store,
                                                       scan_mode, backend):
-    """Sharded reader + prefetcher (2 workers, prefetch_depth=1) equals the
-    in-memory path bit for bit, in both scan modes and both engines."""
-    in_memory = _make_trainer(normalizer, scan_mode=scan_mode,
-                              num_workers=2, parallel_backend=backend)
-    in_memory.fit(samples)
+    """Sharded reader + prefetcher (2-member groups, prefetch_depth=1)
+    equals the in-memory path bit for bit, in both scan modes, with the
+    groups computed in-process ("serial") or by a worker pool."""
+    in_memory = _make_trainer(normalizer, scan_mode=scan_mode, num_workers=2)
     streamed = _make_trainer(normalizer, scan_mode=scan_mode, num_workers=2,
-                             parallel_backend=backend, prefetch_depth=1)
-    streamed.fit(dataset_path=store)
+                             prefetch_depth=1)
+    with in_process_groups() if backend == "serial" else contextlib.nullcontext():
+        in_memory.fit(samples)
+        streamed.fit(dataset_path=store)
     assert in_memory.history.train_loss == streamed.history.train_loss
     assert np.array_equal(in_memory.model.parameters_vector(),
                           streamed.model.parameters_vector())
@@ -80,7 +85,8 @@ def test_streamed_epoch_bit_identical_across_backends(samples, normalizer, store
 @pytest.mark.parametrize("prefetch_depth", [1, 3])
 def test_streamed_epoch_bit_identical_serial_loop(samples, normalizer, store,
                                                   prefetch_depth):
-    """The num_workers=1 (no executor) loop: any prefetch depth, same result."""
+    """num_workers=1 (in-process groups of one): any prefetch depth, same
+    result."""
     in_memory = _make_trainer(normalizer)
     in_memory.fit(samples)
     streamed = _make_trainer(normalizer, prefetch_depth=prefetch_depth)

@@ -251,6 +251,43 @@ class TestSerialization:
         meta = load_checkpoint(Dense(2, 2), str(tmp_path / "ckpt"))
         assert meta["epoch"] == 7
 
+    @pytest.mark.parametrize("failing", ["third-array", "sidecar"])
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch,
+                                                       failing):
+        """A save that raises partway, writing its third array or its
+        sidecar, leaves the previous weights and metadata loadable and
+        no temporary file behind."""
+        import json
+
+        import numpy.lib.format as npy_format
+
+        model = MLP(3, [8, 4], 1, rng=np.random.default_rng(0))
+        path = save_checkpoint(model, str(tmp_path / "ckpt"), metadata={"epoch": 1})
+        previous = model.state_dict()
+        for param in model.parameters():
+            param.data = param.data + 1.0
+        name, real = (("write_array", npy_format.write_array) if failing == "third-array"
+                      else ("dump", json.dump))
+        calls = []
+
+        def fail_on_third_array_or_sidecar(*args, **kwargs):
+            calls.append(name)
+            if name == "dump" or len(calls) == 3:
+                raise OSError("injected write failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(npy_format if name == "write_array" else json, name,
+                            fail_on_third_array_or_sidecar)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(model, path, metadata={"epoch": 2})
+        monkeypatch.undo()
+
+        restored = MLP(3, [8, 4], 1, rng=np.random.default_rng(1))
+        assert load_checkpoint(restored, path) == {"epoch": 1}
+        for key, value in restored.state_dict().items():
+            assert np.array_equal(value, previous[key])
+        assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "ckpt.npz"]
+
     def test_state_dict_load_shape_check(self):
         model = Dense(2, 2)
         state = model.state_dict()

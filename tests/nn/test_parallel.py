@@ -12,12 +12,12 @@ from repro.nn.layers import MLP
 from repro.nn.losses import mse_loss
 from repro.nn.parallel import (
     GradientWorkerPool,
-    SerialGradientExecutor,
     make_gradient_executor,
     path_weighted_average,
 )
 from repro.nn.tensor import Tensor
 from repro.testing.faults import ENV_MARKER_DIR, ENV_PLAN
+from tests.support import replica_gradients
 
 
 def _make_model(seed: int = 7) -> MLP:
@@ -94,10 +94,10 @@ class TestPathWeightedAverage:
 
 
 # ---------------------------------------------------------------------- #
-# Execution engines
+# The gradient worker pool
 # ---------------------------------------------------------------------- #
 def _toy_batches(seed: int = 3):
-    """Tiny tensorised batches for engine tests."""
+    """Tiny tensorised batches for pool tests."""
     from repro.datasets import DatasetConfig, generate_dataset
     from repro.datasets.batching import make_batches
     from repro.datasets.normalization import FeatureNormalizer
@@ -137,7 +137,7 @@ def _geant2_batches():
 
 def _poisoned_batch(batch):
     """A copy of ``batch`` whose link indices run past its links: computing
-    on it raises ``IndexError`` inside whichever engine runs it."""
+    on it raises ``IndexError`` in whichever process runs it."""
     poisoned = batch.copy()
     poisoned.link_sequences = poisoned.link_sequences + 42
     return poisoned
@@ -158,20 +158,20 @@ def _assert_same_results(pooled, direct):
 
 class TestExecutors:
     def test_process_pool_matches_serial_gradients(self):
+        """A pool group equals the workers' kernel run in this process."""
         model = _toy_routenet()
         batches = _toy_batches()
         params = model.parameters_vector()
-        with GradientWorkerPool(model, num_workers=2) as pool, \
-                SerialGradientExecutor(model, num_workers=2) as serial:
+        with GradientWorkerPool(model, num_workers=2) as pool:
             pooled = _run_group(pool, params, batches)
-            direct = _run_group(serial, params, batches)
+        direct = replica_gradients(model, params, batches)
         _assert_same_results(pooled, direct)
 
     def test_process_pool_matches_serial_at_the_shipping_size(self):
-        """Workers compute on one BLAS thread, the serial executor on the
-        parent's default; at the shipping model size (state 16, 4
-        iterations, compiled scan) on 1104-path batches the gradients must
-        still agree bit for bit."""
+        """Workers compute on one BLAS thread, this process on the parent's
+        default; at the shipping model size (state 16, 4 iterations,
+        compiled scan) on 1104-path batches the gradients must still agree
+        bit for bit."""
         from repro.models import ExtendedRouteNet, RouteNetConfig
 
         batches = _geant2_batches()
@@ -179,10 +179,9 @@ class TestExecutors:
         model = ExtendedRouteNet(RouteNetConfig(seed=5))
         assert model.config.scan_mode == "compiled"
         params = model.parameters_vector()
-        with GradientWorkerPool(model, num_workers=2) as pool, \
-                SerialGradientExecutor(model, num_workers=2) as serial:
+        with GradientWorkerPool(model, num_workers=2) as pool:
             pooled = _run_group(pool, params, batches)
-            direct = _run_group(serial, params, batches)
+        direct = replica_gradients(model, params, batches)
         _assert_same_results(pooled, direct)
 
     def test_more_batches_than_workers_round_robins(self):
@@ -213,13 +212,12 @@ class TestExecutors:
         batches = _toy_batches()
         failed_params = model.parameters_vector()
         params = failed_params * 0.9
-        with GradientWorkerPool(model, num_workers=2) as pool, \
-                SerialGradientExecutor(model, num_workers=2) as serial:
+        with GradientWorkerPool(model, num_workers=2) as pool:
             with pytest.raises(RuntimeError, match="IndexError"):
                 _run_group(pool, failed_params,
                            [_poisoned_batch(batches[0]), batches[0]])
             pooled = _run_group(pool, params, batches)
-            direct = _run_group(serial, params, batches)
+        direct = replica_gradients(model, params, batches)
         for (grad_p, loss_p, _), (grad_s, loss_s, _) in zip(pooled, direct):
             assert np.array_equal(grad_p, grad_s)
             assert loss_p == loss_s
@@ -230,18 +228,15 @@ class TestExecutors:
         pool.close()
 
     def test_make_gradient_executor_backends(self):
+        """The pool is the only engine: there is no backend to choose."""
         model = _toy_routenet()
-        assert isinstance(make_gradient_executor(model, 2, backend="serial"),
-                          SerialGradientExecutor)
-        pool = make_gradient_executor(model, 1, backend="process")
+        pool = make_gradient_executor(model, 1)
         assert isinstance(pool, GradientWorkerPool)
         pool.close()
-        with pytest.raises(ValueError, match="backend"):
-            make_gradient_executor(model, 1, backend="threads")
+        with pytest.raises(TypeError, match="backend"):
+            make_gradient_executor(model, 1, backend="serial")
 
     def test_num_workers_validated(self):
-        with pytest.raises(ValueError):
-            SerialGradientExecutor(_toy_routenet(), num_workers=0)
         with pytest.raises(ValueError):
             GradientWorkerPool(_toy_routenet(), num_workers=0)
 
@@ -322,7 +317,7 @@ class TestWorkerBlasThreads:
     def test_worker_without_blas_thread_control_still_serves(self, lookup,
                                                              monkeypatch):
         """Where the lookup finds no thread control, the worker still
-        starts and computes the serial executor's gradients."""
+        starts and computes the in-process gradients."""
         if lookup == "library-fails-to-load":
             monkeypatch.setattr(parallel, "_openblas_paths",
                                 lambda: ["/nonexistent/libopenblas.so"])
@@ -331,9 +326,8 @@ class TestWorkerBlasThreads:
         model = _toy_routenet()
         batches = _toy_batches()
         params = model.parameters_vector()
-        with GradientWorkerPool(model, num_workers=2) as pool, \
-                SerialGradientExecutor(model, num_workers=2) as serial:
+        with GradientWorkerPool(model, num_workers=2) as pool:
             pooled = _run_group(pool, params, batches)
-            direct = _run_group(serial, params, batches)
             assert pool.restarts == 0
+        direct = replica_gradients(model, params, batches)
         _assert_same_results(pooled, direct)

@@ -4,8 +4,8 @@ The acceptance bar: a worker killed or hung mid-run is respawned, its
 in-flight work re-dispatched against the same parameter ring slot and
 batch, and the recovered run is **bit-identical** to a fault-free one —
 for a single gradient group and for a whole 2-worker training run.  Pool
-start-up failure degrades to the serial backend with a warning instead of
-failing the run."""
+start-up failure degrades, with a warning, to computing every group
+in-process, bit-identically to the pool, instead of failing the run."""
 
 import json
 
@@ -16,9 +16,10 @@ from repro.datasets import DatasetConfig, generate_dataset
 from repro.datasets.batching import make_batches
 from repro.datasets.normalization import FeatureNormalizer
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
-from repro.nn.parallel import GradientWorkerPool, SerialGradientExecutor
+from repro.nn.parallel import GradientWorkerPool
 from repro.testing.faults import ENV_MARKER_DIR, ENV_PLAN
 from repro.topology import ring_topology
+from tests.support import replica_gradients
 
 
 def _toy_model(seed: int = 5) -> ExtendedRouteNet:
@@ -45,10 +46,16 @@ def _arm(monkeypatch, tmp_path, specs):
     monkeypatch.setenv(ENV_MARKER_DIR, str(tmp_path / "markers"))
 
 
-def _run_group_results(executor, batches):
+def _run_group_results(pool, batches):
     model = _toy_model()
-    executor.submit_group_payload(model.parameters_vector(), batches)
-    return executor.collect_group()
+    pool.submit_group_payload(model.parameters_vector(), batches)
+    return pool.collect_group()
+
+
+def _expected_results(batches):
+    """The group's gradients computed in this process."""
+    model = _toy_model()
+    return replica_gradients(model, model.parameters_vector(), batches)
 
 
 def test_killed_worker_is_respawned_and_results_are_bit_identical(
@@ -57,8 +64,7 @@ def test_killed_worker_is_respawned_and_results_are_bit_identical(
     the corpse, respawns it and re-sends the step with its batch — same
     ring slot, same batch, bit-identical gradient."""
     batches = _toy_batches()
-    with SerialGradientExecutor(_toy_model(), num_workers=2) as serial:
-        expected = _run_group_results(serial, batches)
+    expected = _expected_results(batches)
 
     _arm(monkeypatch, tmp_path, [{"site": "pool.step.start", "kind": "die",
                                   "match": {"rank": 0, "step": 0},
@@ -79,8 +85,7 @@ def test_killed_worker_is_respawned_and_results_are_bit_identical(
 def test_hung_worker_is_killed_after_task_timeout_and_work_redone(
         tmp_path, monkeypatch):
     batches = _toy_batches()
-    with SerialGradientExecutor(_toy_model(), num_workers=2) as serial:
-        expected = _run_group_results(serial, batches)
+    expected = _expected_results(batches)
 
     _arm(monkeypatch, tmp_path, [{"site": "pool.step.start", "kind": "hang",
                                   "seconds": 60.0,
@@ -125,21 +130,18 @@ def test_training_run_with_injected_worker_kill_is_bit_identical(
 
 
 def test_pool_startup_failure_falls_back_to_serial_with_warning(monkeypatch):
+    """A pool that cannot start leaves fit computing its groups in-process,
+    with a warning, on the trajectory the pool computes."""
     import repro.models.trainer as trainer_module
 
-    real = trainer_module.make_gradient_executor
-
-    def refuse_process_backend(model, num_workers, **kwargs):
-        if kwargs.get("backend", "process") == "process":
-            raise RuntimeError("injected start-up failure")
-        return real(model, num_workers, **kwargs)
+    def refuse_to_start(model, num_workers, **kwargs):
+        raise RuntimeError("injected start-up failure")
 
     samples = _toy_samples()
-    reference = _fit(samples, epochs=1, parallel_backend="serial")
+    reference = _fit(samples, epochs=1)
 
-    monkeypatch.setattr(trainer_module, "make_gradient_executor",
-                        refuse_process_backend)
-    with pytest.warns(RuntimeWarning, match="falling back to the serial"):
+    monkeypatch.setattr(trainer_module, "make_gradient_executor", refuse_to_start)
+    with pytest.warns(RuntimeWarning, match="falling back to in-process"):
         degraded = _fit(samples, epochs=1)
 
     assert degraded.history.train_loss == reference.history.train_loss

@@ -7,11 +7,18 @@ re-importing the conftest under a second module name (pytest loads
 
 from __future__ import annotations
 
-import numpy as np
+import contextlib
+import pickle
+import warnings
 
+import numpy as np
+import pytest
+
+import repro.models.trainer as trainer_module
+from repro.nn.parallel import _compute_gradient
 from repro.nn.tensor import get_default_dtype
 
-__all__ = ["float_tolerance"]
+__all__ = ["float_tolerance", "in_process_groups", "replica_gradients"]
 
 
 def float_tolerance(float64_tol: float = 1e-9, float32_tol: float = 1e-4) -> float:
@@ -22,3 +29,29 @@ def float_tolerance(float64_tol: float = 1e-9, float32_tol: float = 1e-4) -> flo
     meaningful while staying orders of magnitude below real regressions.
     """
     return float64_tol if np.dtype(get_default_dtype()) == np.float64 else float32_tol
+
+
+def replica_gradients(model, flat_params, batches, loss: str = "mse") -> list:
+    """Each batch's ``(flat_gradient, loss, num_paths)`` computed in this
+    process by the gradient workers' kernel, on a pickled replica of
+    ``model`` holding ``flat_params``: the reference a
+    :class:`~repro.nn.parallel.GradientWorkerPool` group must equal."""
+    replica = pickle.loads(pickle.dumps(model))
+    replica.load_parameters_vector(flat_params)
+    return [_compute_gradient(replica, batch, loss) for batch in batches]
+
+
+@contextlib.contextmanager
+def in_process_groups():
+    """Inside the block, ``fit`` computes every data-parallel group in its
+    own process: the gradient pool refuses to start, so ``fit`` takes its
+    fallback, the reference the pool's trajectory must equal bit for bit.
+    The fallback's warning is expected here and silenced."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("gradient pool refused for an in-process run")
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(trainer_module, "make_gradient_executor", refuse)
+        warnings.filterwarnings("ignore", "gradient worker pool failed to start",
+                                RuntimeWarning)
+        yield
