@@ -20,7 +20,8 @@ against their unfused (seed) formulations.
 Every figure measured here is also written to
 ``.benchmarks/BENCH_throughput.json`` (samples/sec and tracemalloc peaks
 keyed by batch size, dtype and scan mode), so the perf trajectory is
-machine-readable across PRs.
+machine-readable across PRs.  Every model runs the compiled scan, the
+shipping default, and each row records it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ MEMORY_BATCH_SIZES = (1, 4, 16, 32)
 DTYPES = ("float64", "float32")
 NUM_SAMPLES = 32
 EPOCHS = 2
+#: The scan executor every model here runs: the shipping default.
+SCAN_MODE = "compiled"
 
 #: Accumulated measurements, dumped to ``.benchmarks/BENCH_throughput.json`` after the
 #: module runs.  Keys are stringified so the JSON round-trips cleanly.
@@ -68,7 +71,7 @@ def training_samples():
 
 
 def _make_trainer(bench_scale, batch_size: int, dtype=None, epochs: int = EPOCHS,
-                  scan_mode: str = "stream", num_workers: int = 1):
+                  num_workers: int = 1):
     model = ExtendedRouteNet(RouteNetConfig(
         link_state_dim=bench_scale["state_dim"],
         path_state_dim=bench_scale["state_dim"],
@@ -76,7 +79,7 @@ def _make_trainer(bench_scale, batch_size: int, dtype=None, epochs: int = EPOCHS
         message_passing_iterations=bench_scale["iterations"],
         seed=41,
         dtype=dtype,
-        scan_mode=scan_mode,
+        scan_mode=SCAN_MODE,
     ))
     return RouteNetTrainer(model, TrainerConfig(
         epochs=epochs, learning_rate=0.003, batch_size=batch_size,
@@ -115,7 +118,7 @@ def test_batched_training_throughput(training_samples, bench_scale):
     throughput = {batch_size: _throughput(training_samples, batch_size, bench_scale)
                   for batch_size in BATCH_SIZES}
     RESULTS["throughput_by_batch_size"] = {
-        "dtype": _resolved_dtype_name(None), "scan_mode": "stream",
+        "dtype": _resolved_dtype_name(None), "scan_mode": SCAN_MODE,
         "samples_per_sec": {str(b): throughput[b] for b in BATCH_SIZES}}
 
     print("\ntraining throughput (trained samples per second)")
@@ -141,7 +144,7 @@ def test_peak_memory_by_batch_size_and_dtype(training_samples, bench_scale):
                      for batch_size in MEMORY_BATCH_SIZES}
              for dtype in DTYPES}
     RESULTS["peak_memory_by_batch_size_and_dtype"] = {
-        "scan_mode": "stream",
+        "scan_mode": SCAN_MODE,
         "peak_bytes": {dtype: {str(b): peaks[dtype][b] for b in MEMORY_BATCH_SIZES}
                        for dtype in DTYPES}}
 
@@ -168,7 +171,7 @@ def test_float32_meets_speed_or_memory_bar(training_samples, bench_scale):
     speedup = speed32 / speed64
     memory_ratio = peak32 / peak64
     RESULTS["float32_vs_float64_bs16"] = {
-        "scan_mode": "stream", "samples_per_sec": {"float64": speed64, "float32": speed32},
+        "scan_mode": SCAN_MODE, "samples_per_sec": {"float64": speed64, "float32": speed32},
         "peak_bytes": {"float64": peak64, "float32": peak32},
         "speedup": speedup, "memory_ratio": memory_ratio}
     print(f"\nfloat32 vs float64 at batch_size=16: "
@@ -272,7 +275,7 @@ def test_parallel_worker_scaling(bench_scale):
     cpus = os.cpu_count() or 1
     results = {workers: throughput(workers) for workers in WORKER_COUNTS}
     RESULTS["parallel_worker_scaling"] = {
-        "dtype": dtype, "scan_mode": "stream", "batch_size": 2,
+        "dtype": dtype, "scan_mode": SCAN_MODE, "batch_size": 2,
         "host_cpus": cpus,
         "samples_per_sec": {str(w): results[w] for w in WORKER_COUNTS},
         "speedup_vs_serial": {str(w): results[w] / results[1]

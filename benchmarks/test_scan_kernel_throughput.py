@@ -1,9 +1,9 @@
 """Compiled scan kernels vs the interpreted streaming scan, plus binary shards.
 
 The compiled path (``scan_mode="compiled"``) replaces the interpreted
-per-step autograd tape of the RNN scan with precompiled step plans and
-raw-NumPy GRU/LSTM kernels: input projections hoisted to one BLAS call per
-source per scan, gate buffers reused across steps, scatters run as
+per-step autograd tape of the RNN scan with precompiled step plans and a
+raw-NumPy gate-major GRU kernel: input projections hoisted to one BLAS call
+per source per scan, gate buffers reused across steps, scatters run as
 presorted ``np.add.reduceat``, and a closed-form backward that never builds
 a Tensor graph.  This module measures what that buys on the reference
 workload every scan benchmark uses — the 1104-path merged batch of two

@@ -152,20 +152,23 @@ def _decode_sample(get, available, meta_json: str) -> Sample:
     """
     meta = json.loads(meta_json)
     topology = Topology(name=meta.get("name", "topology"))
+    # ``tolist`` turns each array into Python numbers in one call, instead
+    # of one NumPy scalar per element.
     for node_id, queue_size, label, scheduling in zip(
-            get("node_ids"), get("queue_sizes"), meta["labels"], meta["scheduling"]):
-        topology.add_node(int(node_id), queue_size=int(queue_size),
+            get("node_ids").tolist(), get("queue_sizes").tolist(),
+            meta["labels"], meta["scheduling"]):
+        topology.add_node(node_id, queue_size=queue_size,
                           label=label, scheduling=scheduling)
     for (source, target), capacity, delay in zip(
-            get("link_endpoints"), get("link_capacities"), get("link_delays")):
-        topology.add_link(int(source), int(target), capacity=float(capacity),
-                          propagation_delay=float(delay))
-    offsets = get("route_offsets")
-    route_nodes = get("route_nodes")
-    paths = {}
-    for k, (source, destination) in enumerate(get("route_pairs")):
-        paths[(int(source), int(destination))] = \
-            route_nodes[offsets[k]:offsets[k + 1]].tolist()
+            get("link_endpoints").tolist(), get("link_capacities").tolist(),
+            get("link_delays").tolist()):
+        topology.add_link(source, target, capacity=capacity,
+                          propagation_delay=delay)
+    offsets = get("route_offsets").tolist()
+    route_nodes = get("route_nodes").tolist()
+    paths = {(source, destination): route_nodes[start:stop]
+             for (source, destination), start, stop
+             in zip(get("route_pairs").tolist(), offsets, offsets[1:])}
     return Sample(
         topology=topology,
         routing=RoutingScheme(topology, paths, validate=False),

@@ -18,6 +18,7 @@ index matrices, mirroring how the reference TensorFlow implementation feeds
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,6 +183,15 @@ class TensorizedSample:
                 raise ValueError("sample_path_offsets must be strictly increasing")
 
 
+def _link_table(topology) -> np.ndarray:
+    """``table[u, v]``: the index of link ``u -> v``, or -1 where none exists."""
+    size = max(topology.nodes()) + 1
+    table = np.full((size, size), -1, dtype=np.int64)
+    for index, spec in enumerate(topology.links()):
+        table[spec.source, spec.target] = index
+    return table
+
+
 def tensorize_sample(sample: Sample, normalizer: Optional[FeatureNormalizer] = None,
                      target: str = "delay", dtype: DTypeLike = None) -> TensorizedSample:
     """Build the dense arrays for one sample.
@@ -221,22 +231,26 @@ def tensorize_sample(sample: Sample, normalizer: Optional[FeatureNormalizer] = N
             raise ValueError("sample carries no loss measurements")
         raw_targets = sample.losses.copy()
 
-    link_paths = routing.link_paths()
-    node_paths = routing.node_paths()
-    lengths = np.array([len(p) for p in link_paths], dtype=np.int64)
+    # One pass over the routing gathers every path's nodes into a padded
+    # matrix.  Hop h leaves nodes[h], whose output queue the packet waits
+    # in, over the link nodes[h] -> nodes[h + 1].
+    node_paths = [nodes for _, nodes in routing.items()]
+    lengths = np.array([len(nodes) - 1 for nodes in node_paths], dtype=np.int64)
     max_len = int(lengths.max())
-    num_paths = len(link_paths)
-
-    link_sequences = np.zeros((num_paths, max_len), dtype=np.int64)
-    node_sequences = np.zeros((num_paths, max_len), dtype=np.int64)
-    mask = np.zeros((num_paths, max_len), dtype=dtype)
-    for row, (links, nodes) in enumerate(zip(link_paths, node_paths)):
-        length = len(links)
-        link_sequences[row, :length] = links
-        # The sending node of hop h is nodes[h]; its output queue is the one
-        # the packet occupies before traversing links[h].
-        node_sequences[row, :length] = nodes[:-1]
-        mask[row, :length] = 1.0
+    num_paths = len(node_paths)
+    padded_nodes = np.zeros((num_paths, max_len + 1), dtype=np.int64)
+    # Row-major boolean assignment fills each path's nodes in order.
+    padded_nodes[np.arange(max_len + 1)[None, :] <= lengths[:, None]] = \
+        list(itertools.chain.from_iterable(node_paths))
+    valid = np.arange(max_len)[None, :] < lengths[:, None]
+    senders = padded_nodes[:, :-1]
+    hops = _link_table(topology)[senders, padded_nodes[:, 1:]]
+    if np.any(hops[valid] < 0):
+        path, hop = np.argwhere(valid & (hops < 0))[0]
+        raise KeyError(f"no link {senders[path, hop]}->{padded_nodes[path, hop + 1]}")
+    link_sequences = np.where(valid, hops, 0)
+    node_sequences = np.where(valid, senders, 0)
+    mask = valid.astype(dtype)
 
     if normalizer is not None:
         link_features = normalizer.normalize("capacity", capacities)[:, None]

@@ -279,10 +279,10 @@ def scan_rnn(
         Optional :class:`~repro.nn.scan_kernels.ScanKernelSpec` precompiled
         from the same ``(step_sources, step_rows, mask, scatter)`` via
         :func:`~repro.nn.scan_kernels.compile_scan_spec`.  When given and
-        the cell has a compiled step kernel (GRU/LSTM), the scan runs
-        through the raw-NumPy kernel executor instead of the interpreted
-        per-step tape; cells without a kernel fall back to the interpreted
-        scan transparently.
+        the cell has a compiled step kernel (the exact :class:`GRUCell`),
+        the scan runs through the raw-NumPy kernel executor instead of the
+        interpreted per-step tape; cells without a kernel (the LSTM cell,
+        custom cells) fall back to the interpreted scan transparently.
 
     Returns
     -------

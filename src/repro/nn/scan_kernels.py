@@ -2,21 +2,20 @@
 
 The interpreted :func:`repro.nn.recurrent.scan_rnn` re-enters the autograd
 tape at every hop: each step gathers its input rows, builds a small Tensor
-subgraph through the cell, and scatters outputs with ``np.add.at``.  For the
-known cells (GRU/LSTM) nothing in that subgraph is dynamic — the whole scan
-is a fixed pipeline of BLAS calls and index moves once the (topology, bucket)
-is known.  This module compiles that pipeline:
+subgraph through the cell, and scatters outputs with ``np.add.at``.  For a
+GRU nothing in that subgraph is dynamic — the whole scan is a fixed
+pipeline of BLAS calls and index moves once the (topology, bucket) is
+known.  This module compiles that pipeline:
 
 * :func:`compile_scan_spec` turns the per-step index arrays of a
   :class:`~repro.models.message_passing.ScanPlan` into a
-  :class:`ScanKernelSpec` — per-step contiguous row indices, invalid-row
-  lists, and sort/offset arrays that let every scatter run as
+  :class:`ScanKernelSpec` — per-step contiguous row indices, validity
+  masks, and sort/offset arrays that let every scatter run as
   ``np.add.reduceat`` over presorted segments instead of ``np.add.at``.
   Specs are built once per (topology, bucket) and memoised on the plan.
 * :func:`compile_step_kernel` wraps a :class:`~repro.nn.recurrent.GRUCell`
-  or :class:`~repro.nn.recurrent.LSTMCell` in a step kernel exposing the
-  cell maths as raw-NumPy forward and closed-form VJP routines that write
-  into caller-provided buffers.
+  in a :class:`GRUStepKernel` exposing the cell maths as raw-NumPy forward
+  and closed-form VJP routines that write into caller-provided buffers.
 * :func:`run_compiled_scan` executes the spec: the input projection
   ``source @ W_in + bias`` is hoisted out of the step loop (one BLAS call
   per source per scan, amortised over every hop that reads it), each step is
@@ -26,14 +25,25 @@ is known.  This module compiles that pipeline:
   per-source projection-gradient matrix and are folded into the weight,
   bias and source gradients with one matmul each at the end of the scan.
 
-Cells other than GRU/LSTM fall back to the interpreted scan transparently
+The executor runs **gate-major**: the carried state is a C-contiguous
+``(hidden, paths)`` array, the hoisted projections are ``(3·hidden,
+entities)`` and each step's gate pre-activations are ``(3·hidden, paths)``,
+so the update, reset and candidate blocks are contiguous row ranges.  Every
+element-wise op of the cell then runs as one inner loop over a contiguous
+block; in the ``(paths, 3·hidden)`` layout each gate was a column slice and
+every op paid one strided inner loop per path, which cost more than the
+transcendentals themselves.  The scan transposes in and out once, so its
+inputs and outputs keep :func:`scan_rnn`'s ``(rows, hidden)`` contract.
+
+Cells other than the exact :class:`~repro.nn.recurrent.GRUCell` (the LSTM
+cell and custom cells) fall back to the interpreted scan transparently
 (:func:`compile_step_kernel` returns ``None`` for them).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,28 +61,39 @@ __all__ = [
     "compile_step_kernel",
     "run_compiled_scan",
     "GRUStepKernel",
-    "LSTMStepKernel",
 ]
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Same branch-free stable formulation as Tensor.sigmoid, so the compiled
-    # path reproduces the interpreted scan to rounding error.
-    decay = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + decay), decay / (1.0 + decay))
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of ``x``, in place, as ``0.5·tanh(0.5·x) + 0.5``.
+
+    Within an ulp of the branch-free ``exp(-|x|)`` form of
+    :meth:`Tensor.sigmoid`, with no data-dependent mask and no overflow for
+    any finite input.
+    """
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
 # ---------------------------------------------------------------------------
-# Step kernels: raw-NumPy cell maths with closed-form VJPs.
+# Step kernel: raw-NumPy GRU maths with a closed-form VJP, gate-major.
 # ---------------------------------------------------------------------------
 
 
 class GRUStepKernel:
-    """Raw-NumPy GRU step over a pre-projected input.
+    """Raw-NumPy GRU step over pre-projected inputs, in gate-major layout.
 
-    ``gx`` rows are ``x @ W_in + bias`` (three gates stacked); the kernel
-    only adds the recurrent contribution, so the per-step BLAS cost is the
-    single ``state @ W_hh`` that the recurrence genuinely requires.
+    ``state`` is ``(hidden, paths)`` and ``gx`` is ``(3·hidden, paths)``,
+    the rows of ``W_inᵀ·x + bias`` for the update, reset and candidate
+    gates in that order.  The kernel only adds the recurrent contribution
+    ``W_hhᵀ·state``, the one BLAS call per step the recurrence genuinely
+    requires, into a gate buffer reused from step to step.  Backward
+    recomputes the step's gates from its carried-state checkpoint rather
+    than keeping them from forward, which holds the scan's live memory at
+    O(paths·hidden) per step.
     """
 
     def __init__(self, cell) -> None:
@@ -82,139 +103,124 @@ class GRUStepKernel:
         self.weight_hidden = cell.weight_hidden
         self.bias = cell.bias
         self.gate_width = 3 * cell.hidden_size
-        self.state_width = cell.hidden_size
-        self._dgh_scratch: Optional[np.ndarray] = None
+        self._scratch: Dict[str, np.ndarray] = {}
+
+    def _buffer(self, name: str, rows: int, like: np.ndarray) -> np.ndarray:
+        """A reused ``(rows, paths)`` scratch array shaped after ``like``."""
+        shape = (rows, like.shape[1])
+        buffer = self._scratch.get(name)
+        if buffer is None or buffer.shape != shape or buffer.dtype != like.dtype:
+            buffer = self._scratch[name] = np.empty(shape, dtype=like.dtype)
+        return buffer
+
+    def release(self) -> None:
+        """Drop the scratch arrays.
+
+        The scan's autograd node keeps the kernel until the optimiser step,
+        so each pass hands its buffers back when it ends.
+        """
+        self._scratch.clear()
 
     def project(self, source: np.ndarray) -> np.ndarray:
-        return source @ self.weight_input.data + self.bias.data
+        """``W_inᵀ·sourceᵀ + bias``: the ``(3·hidden, entities)`` projection."""
+        projection = np.matmul(self.weight_input.data.T, source.T)
+        projection += self.bias.data[:, None]
+        return projection
+
+    def _activate(self, gx: np.ndarray, gh: np.ndarray, gates: np.ndarray) -> None:
+        """Write the update, reset and candidate activations into ``gates``.
+
+        ``gh`` holds ``W_hhᵀ·state``; ``gates`` may be ``gh`` itself, in
+        which case the candidate block's recurrent term is consumed.
+        """
+        hidden = self.hidden
+        update_reset = gates[:2 * hidden]
+        np.add(gh[:2 * hidden], gx[:2 * hidden], out=update_reset)
+        _sigmoid_(update_reset)
+        candidate = gates[2 * hidden:]
+        np.multiply(gh[2 * hidden:], gates[hidden:2 * hidden], out=candidate)
+        candidate += gx[2 * hidden:]
+        np.tanh(candidate, out=candidate)
 
     def step(self, gx: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Advance ``state`` one step into ``out`` and return ``out``."""
         hidden = self.hidden
-        gh = state @ self.weight_hidden.data
-        update = _stable_sigmoid(gx[:, :hidden] + gh[:, :hidden])
-        reset = _stable_sigmoid(gx[:, hidden:2 * hidden] + gh[:, hidden:2 * hidden])
-        candidate = np.tanh(gx[:, 2 * hidden:] + reset * gh[:, 2 * hidden:])
-        np.subtract(1.0, update, out=out)
-        out *= candidate
-        out += update * state
+        gates = self._buffer("gates", self.gate_width, state)
+        np.matmul(self.weight_hidden.data.T, state, out=gates)
+        self._activate(gx, gates, gates)
+        update = gates[:hidden]
+        candidate = gates[2 * hidden:]
+        # h' = (1 - z)·n + z·h, as n + z·(h - n): three ops, no temporary.
+        np.subtract(state, candidate, out=out)
+        out *= update
+        out += candidate
         return out
 
     def step_backward(self, gx: np.ndarray, state: np.ndarray, d_new: np.ndarray,
                       dgx_out: np.ndarray, d_prev_out: np.ndarray,
                       weight_hidden_grad: np.ndarray) -> None:
+        """Closed-form VJP of :meth:`step` from the step's input ``state``.
+
+        Writes the gate pre-activation gradients into ``dgx_out`` and the
+        input state's gradient into ``d_prev_out``, and adds ``W_hh``'s
+        gradient into ``weight_hidden_grad``.
+        """
         hidden = self.hidden
         weight_hidden = self.weight_hidden.data
-        gh = state @ weight_hidden
-        gh_candidate = gh[:, 2 * hidden:]
-        update = _stable_sigmoid(gx[:, :hidden] + gh[:, :hidden])
-        reset = _stable_sigmoid(gx[:, hidden:2 * hidden] + gh[:, hidden:2 * hidden])
-        candidate = np.tanh(gx[:, 2 * hidden:] + reset * gh_candidate)
+        gh = self._buffer("gates", self.gate_width, state)
+        gates = self._buffer("activations", self.gate_width, state)
+        dgh = self._buffer("recurrent_grad", self.gate_width, state)
+        scratch = self._buffer("scratch", 2 * hidden, state)
+        np.matmul(weight_hidden.T, state, out=gh)
+        self._activate(gx, gh, gates)
+        update = gates[:hidden]
+        reset = gates[hidden:2 * hidden]
+        candidate = gates[2 * hidden:]
+        gh_candidate = gh[2 * hidden:]
 
-        d_update = dgx_out[:, :hidden]
-        d_reset = dgx_out[:, hidden:2 * hidden]
-        d_candidate = dgx_out[:, 2 * hidden:]
+        # Sigmoid derivatives z(1 - z) and r(1 - r), over both blocks at once.
+        slopes = scratch
+        np.subtract(1.0, gates[:2 * hidden], out=slopes)
+        slopes *= gates[:2 * hidden]
+        work = d_prev_out  # free until the recurrent matmul below
 
-        # Pre-activation gate gradients, written straight into the dgx view.
-        np.multiply(d_new, 1.0 - update, out=d_candidate)
-        d_candidate *= 1.0 - candidate * candidate
+        # Pre-activation gate gradients, written straight into dgx.
+        d_update = dgx_out[:hidden]
+        d_reset = dgx_out[hidden:2 * hidden]
+        d_candidate = dgx_out[2 * hidden:]
+        np.subtract(1.0, update, out=work)
+        np.multiply(d_new, work, out=d_candidate)
+        np.multiply(candidate, candidate, out=work)
+        np.subtract(1.0, work, out=work)
+        d_candidate *= work
         np.multiply(d_candidate, gh_candidate, out=d_reset)
-        d_reset *= reset * (1.0 - reset)
-        np.multiply(d_new, state - candidate, out=d_update)
-        d_update *= update * (1.0 - update)
+        d_reset *= slopes[hidden:]
+        np.subtract(state, candidate, out=d_update)
+        d_update *= d_new
+        d_update *= slopes[:hidden]
 
         # The recurrent gate grads differ from dgx only in the candidate
-        # block (reset-scaled), so build them in a reused scratch array.
-        dgh = self._dgh_scratch
-        if dgh is None or dgh.shape != dgx_out.shape or dgh.dtype != dgx_out.dtype:
-            dgh = self._dgh_scratch = np.empty_like(dgx_out)
-        dgh[:, :2 * hidden] = dgx_out[:, :2 * hidden]
-        np.multiply(d_candidate, reset, out=dgh[:, 2 * hidden:])
+        # block, which the reset gate scales.
+        dgh[:2 * hidden] = dgx_out[:2 * hidden]
+        np.multiply(d_candidate, reset, out=dgh[2 * hidden:])
 
-        np.matmul(dgh, weight_hidden.T, out=d_prev_out)
-        d_prev_out += d_new * update
-        weight_hidden_grad += state.T @ dgh
+        np.multiply(d_new, update, out=scratch[:hidden])
+        np.matmul(weight_hidden, dgh, out=d_prev_out)
+        d_prev_out += scratch[:hidden]
+        weight_hidden_grad += state @ dgh.T
 
 
-class LSTMStepKernel:
-    """Raw-NumPy LSTM step over a pre-projected input (packed ``[h, c]`` state)."""
+def compile_step_kernel(cell) -> Optional[GRUStepKernel]:
+    """Return a gate-major step kernel for ``cell``, or ``None``.
 
-    def __init__(self, cell) -> None:
-        self.cell = cell
-        self.hidden = cell.hidden_size
-        self.weight_input = cell.weight_input
-        self.weight_hidden = cell.weight_hidden
-        self.bias = cell.bias
-        self.gate_width = 4 * cell.hidden_size
-        self.state_width = 2 * cell.hidden_size
-
-    def project(self, source: np.ndarray) -> np.ndarray:
-        return source @ self.weight_input.data + self.bias.data
-
-    def _gates(self, gx: np.ndarray, state: np.ndarray):
-        hidden = self.hidden
-        h_prev = state[:, :hidden]
-        gates = gx + h_prev @ self.weight_hidden.data
-        input_gate = _stable_sigmoid(gates[:, :hidden])
-        forget_gate = _stable_sigmoid(gates[:, hidden:2 * hidden])
-        output_gate = _stable_sigmoid(gates[:, 2 * hidden:3 * hidden])
-        candidate = np.tanh(gates[:, 3 * hidden:])
-        return input_gate, forget_gate, output_gate, candidate
-
-    def step(self, gx: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
-        hidden = self.hidden
-        c_prev = state[:, hidden:]
-        input_gate, forget_gate, output_gate, candidate = self._gates(gx, state)
-        h_out = out[:, :hidden]
-        c_out = out[:, hidden:]
-        np.multiply(forget_gate, c_prev, out=c_out)
-        c_out += input_gate * candidate
-        np.tanh(c_out, out=h_out)
-        h_out *= output_gate
-        return out
-
-    def step_backward(self, gx: np.ndarray, state: np.ndarray, d_new: np.ndarray,
-                      dgx_out: np.ndarray, d_prev_out: np.ndarray,
-                      weight_hidden_grad: np.ndarray) -> None:
-        hidden = self.hidden
-        weight_hidden = self.weight_hidden.data
-        h_prev = state[:, :hidden]
-        c_prev = state[:, hidden:]
-        input_gate, forget_gate, output_gate, candidate = self._gates(gx, state)
-        c_new = forget_gate * c_prev + input_gate * candidate
-        tanh_c = np.tanh(c_new)
-
-        d_hidden = d_new[:, :hidden]
-        d_cell_ext = d_new[:, hidden:]
-        d_cell = d_cell_ext + d_hidden * output_gate * (1.0 - tanh_c * tanh_c)
-
-        d_input = dgx_out[:, :hidden]
-        d_forget = dgx_out[:, hidden:2 * hidden]
-        d_output = dgx_out[:, 2 * hidden:3 * hidden]
-        d_candidate = dgx_out[:, 3 * hidden:]
-        np.multiply(d_cell, candidate, out=d_input)
-        d_input *= input_gate * (1.0 - input_gate)
-        np.multiply(d_cell, c_prev, out=d_forget)
-        d_forget *= forget_gate * (1.0 - forget_gate)
-        np.multiply(d_hidden, tanh_c, out=d_output)
-        d_output *= output_gate * (1.0 - output_gate)
-        np.multiply(d_cell, input_gate, out=d_candidate)
-        d_candidate *= 1.0 - candidate * candidate
-
-        # The LSTM's input and recurrent paths share the same pre-activation
-        # gates, so dgx doubles as the recurrent gate gradient.
-        np.matmul(dgx_out, weight_hidden.T, out=d_prev_out[:, :hidden])
-        np.multiply(d_cell, forget_gate, out=d_prev_out[:, hidden:])
-        weight_hidden_grad += h_prev.T @ dgx_out
-
-
-def compile_step_kernel(cell):
-    """Return a step kernel for ``cell``, or ``None`` if it has no compiled form."""
+    Only the exact :class:`~repro.nn.recurrent.GRUCell` compiles, the one
+    cell the models build; subclasses may override ``forward``, and the
+    LSTM and custom cells take :func:`scan_rnn`'s interpreted scan.
+    """
     from repro.nn import recurrent
 
     if type(cell) is recurrent.GRUCell:
         return GRUStepKernel(cell)
-    if type(cell) is recurrent.LSTMCell:
-        return LSTMStepKernel(cell)
     return None
 
 
@@ -231,16 +237,18 @@ class StepPlan:
     entity so the input-gradient scatter runs as ``np.add.reduceat`` over
     contiguous runs; the ``emit_*`` arrays do the same for the forward
     output scatter (``emit_unique_segments`` are unique, so the follow-up
-    fancy ``+=`` is exact).  A step whose mask column is entirely invalid is
-    a no-op for both passes and carries ``valid_count == 0`` with every
-    index array empty/``None``.
+    fancy ``+=`` is exact).  ``valid_mask``/``invalid_mask`` are ``(1,
+    paths)`` boolean rows that broadcast over the gate-major state; both
+    are ``None`` when every path is valid.  A step whose mask column is
+    entirely invalid is a no-op for both passes and carries
+    ``valid_count == 0`` with every index array empty/``None``.
     """
 
     source: int
     rows: np.ndarray
     valid_count: int
-    invalid_rows: Optional[np.ndarray]
-    valid_column: Optional[np.ndarray]
+    valid_mask: Optional[np.ndarray]
+    invalid_mask: Optional[np.ndarray]
     in_perm: Optional[np.ndarray]
     in_starts: Optional[np.ndarray]
     in_entities: Optional[np.ndarray]
@@ -253,13 +261,19 @@ class StepPlan:
 
 @dataclasses.dataclass
 class ScanKernelSpec:
-    """Compiled form of a scan plan: one :class:`StepPlan` per step."""
+    """Compiled form of a scan plan: one :class:`StepPlan` per step.
+
+    ``source_rows`` maps every source a step reads to one past the largest
+    row it reads, so the executor checks the sources' sizes once per scan
+    and its per-step gathers can skip the per-element bounds check.
+    """
 
     num_paths: int
     num_steps: int
     has_scatter: bool
     steps: List[StepPlan]
     used_sources: Tuple[int, ...]
+    source_rows: Dict[int, int]
 
 
 def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
@@ -280,7 +294,7 @@ def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
         raise ValueError(f"mask shape {valid.shape} does not match {(num_paths, num_steps)}")
 
     steps: List[StepPlan] = []
-    used = set()
+    source_rows: Dict[int, int] = {}
     for step in range(num_steps):
         source = int(step_sources[step])
         column = valid[:, step]
@@ -288,28 +302,33 @@ def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
         if valid_count == 0:
             steps.append(StepPlan(
                 source=source, rows=np.zeros(0, dtype=np.int64), valid_count=0,
-                invalid_rows=None, valid_column=None,
+                valid_mask=None, invalid_mask=None,
                 in_perm=None, in_starts=None, in_entities=None))
             continue
 
         rows = np.ascontiguousarray(step_rows[:, step])
+        if rows.min() < 0:
+            raise ValueError("step_rows must be non-negative")
         in_perm = np.argsort(rows, kind="stable")
         sorted_rows = rows[in_perm]
         in_entities, in_starts = np.unique(sorted_rows, return_index=True)
 
         fully_valid = valid_count == num_paths
-        invalid_rows = None if fully_valid else np.flatnonzero(~column)
-        valid_column = None if fully_valid else np.ascontiguousarray(column[:, None])
+        valid_mask = None if fully_valid else column[None, :].copy()
+        invalid_mask = None if fully_valid else ~valid_mask
 
         plan = StepPlan(
             source=source, rows=rows, valid_count=valid_count,
-            invalid_rows=invalid_rows, valid_column=valid_column,
+            valid_mask=valid_mask, invalid_mask=invalid_mask,
             in_perm=in_perm, in_starts=in_starts, in_entities=in_entities)
 
         if scatter is not None and scatter.rows[step] is not None \
                 and len(scatter.rows[step]) > 0:
             emit_rows = np.asarray(scatter.rows[step], dtype=np.int64)
             emit_segments = np.asarray(scatter.segment_ids[step], dtype=np.int64)
+            if emit_rows.min() < 0 or emit_rows.max() >= num_paths:
+                raise ValueError(f"scatter rows of step {step} must index the "
+                                 f"{num_paths} paths")
             emit_perm = np.argsort(emit_segments, kind="stable")
             sorted_segments = emit_segments[emit_perm]
             unique_segments, emit_starts = np.unique(sorted_segments, return_index=True)
@@ -319,13 +338,13 @@ def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
             plan.emit_starts = emit_starts
             plan.emit_unique_segments = unique_segments
 
-        used.add(source)
+        source_rows[source] = max(source_rows.get(source, 0), int(rows.max()) + 1)
         steps.append(plan)
 
     return ScanKernelSpec(
         num_paths=num_paths, num_steps=num_steps,
         has_scatter=scatter is not None, steps=steps,
-        used_sources=tuple(sorted(used)))
+        used_sources=tuple(sorted(source_rows)), source_rows=source_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +368,36 @@ def run_compiled_scan(
     reverse through the kernel's closed-form VJPs, accumulating input
     gradients into per-source projection-gradient matrices that are folded
     into the weight/bias/source gradients once per scan.
+
+    Every array inside the scan is gate-major (see the module docstring):
+    the initial state is copied in transposed, and the final state and
+    the aggregates are transposed out into C-contiguous ``(paths, hidden)``
+    and ``(segments, hidden)`` arrays, so the caller's initial state is
+    never written.
     """
     num_paths = spec.num_paths
-    state = state_tensor.data
-    initial_array = state
-    state_size = state.shape[1]
-    dtype = state.dtype
+    initial = state_tensor.data
+    dtype = initial.dtype
+    state_size = initial.shape[1]
 
     parameters = tuple(kernel.cell.parameters())
     parents = tuple(source_tensors) + (state_tensor,) + parameters
     grad_needed = is_grad_enabled() and any(p.requires_grad for p in parents)
 
+    for s, rows in spec.source_rows.items():
+        if source_tensors[s].shape[0] < rows:
+            raise IndexError(f"scan source {s} has {source_tensors[s].shape[0]} rows, "
+                             f"the compiled spec reads {rows}")
+    # Every gather below indexes within these bounds (checked above and in
+    # compile_scan_spec), so the takes use mode="clip" and skip the
+    # per-element bounds check.
     projections = {s: kernel.project(source_tensors[s].data) for s in spec.used_sources}
-    gx = np.empty((num_paths, kernel.gate_width), dtype=dtype)
-    aggregated = (np.zeros((scatter.num_segments, state_size), dtype=dtype)
+    gx = np.empty((kernel.gate_width, num_paths), dtype=dtype)
+    aggregated = (np.zeros((state_size, scatter.num_segments), dtype=dtype)
                   if scatter is not None else None)
 
+    # A private gate-major copy: later steps may recycle it as a buffer.
+    state = initial.T.copy()
     checkpoints: Optional[List[np.ndarray]] = [] if grad_needed else None
     spare: Optional[np.ndarray] = None
     for plan in spec.steps:
@@ -384,27 +417,28 @@ def run_compiled_scan(
             spare = None
         else:
             out = np.empty_like(state)
-        np.take(projections[plan.source], plan.rows, axis=0, out=gx)
+        np.take(projections[plan.source], plan.rows, axis=1, out=gx, mode="clip")
         kernel.step(gx, state, out)
-        if plan.invalid_rows is not None:
-            out[plan.invalid_rows] = state[plan.invalid_rows]
-        if not grad_needed and state is not initial_array:
+        if plan.invalid_mask is not None:
+            np.copyto(out, state, where=plan.invalid_mask)
+        if not grad_needed:
             # Inference double-buffers: the consumed state becomes the next
-            # step's output buffer (the caller's initial state is never
-            # recycled).
+            # step's output buffer.
             spare = state
         state = out
         if aggregated is not None and plan.emit_starts is not None:
-            sums = np.add.reduceat(state[plan.emit_sorted_rows], plan.emit_starts,
-                                   axis=0)
-            aggregated[plan.emit_unique_segments] += sums
+            emitted = np.take(state, plan.emit_sorted_rows, axis=1, mode="clip")
+            sums = np.add.reduceat(emitted, plan.emit_starts, axis=1)
+            aggregated[:, plan.emit_unique_segments] += sums
 
-    final_state = state
+    kernel.release()
+    final_state = state.T.copy()
+    aggregated_out = aggregated.T.copy() if aggregated is not None else None
 
     if not grad_needed:
         if scatter is None:
             return None, Tensor(final_state)
-        return Tensor(aggregated), Tensor(final_state)
+        return Tensor(aggregated_out), Tensor(final_state)
 
     weight_input = kernel.weight_input
     weight_hidden = kernel.weight_hidden
@@ -416,12 +450,15 @@ def run_compiled_scan(
         else:
             aggregated_grad, final_grad = grads
         if final_grad is not None:
-            state_grad = np.array(final_grad, dtype=dtype, copy=True)
+            state_grad = np.asarray(final_grad, dtype=dtype).T.copy()
         else:
-            state_grad = np.zeros_like(final_state)
+            state_grad = np.zeros((state_size, num_paths), dtype=dtype)
+        if aggregated_grad is not None:
+            aggregated_grad = np.asarray(aggregated_grad, dtype=dtype).T.copy()
 
         d_prev = np.empty_like(state_grad)
-        dgx = np.empty((num_paths, kernel.gate_width), dtype=dtype)
+        gx = np.empty((kernel.gate_width, num_paths), dtype=dtype)
+        dgx = np.empty_like(gx)
         dgx_sorted = np.empty_like(dgx)
         projection_grads = {s: np.zeros_like(projections[s])
                             for s in spec.used_sources}
@@ -433,37 +470,38 @@ def run_compiled_scan(
             if aggregated_grad is not None and plan.emit_rows is not None:
                 # Each valid path emits exactly one row per step, so the
                 # rows are unique and a fancy-index += is exact.
-                state_grad[plan.emit_rows] += aggregated_grad[plan.emit_segments]
+                state_grad[:, plan.emit_rows] += aggregated_grad[:, plan.emit_segments]
 
-            np.take(projections[plan.source], plan.rows, axis=0, out=gx)
-            if plan.invalid_rows is None:
+            np.take(projections[plan.source], plan.rows, axis=1, out=gx, mode="clip")
+            if plan.valid_mask is None:
                 d_new = state_grad
             else:
                 d_new = _GRAD_BUFFER_POOL.take(state_grad.shape, state_grad.dtype)
-                np.multiply(state_grad, plan.valid_column, out=d_new)
+                np.multiply(state_grad, plan.valid_mask, out=d_new)
             kernel.step_backward(gx, checkpoint, d_new, dgx, d_prev,
                                  weight_hidden_grad)
-            if plan.invalid_rows is not None:
+            if plan.valid_mask is not None:
                 _GRAD_BUFFER_POOL.give(d_new)
-                # Masked-out rows carry their gradient past this step.
-                d_prev[plan.invalid_rows] += state_grad[plan.invalid_rows]
+                # Masked-out paths carry their gradient past this step.
+                np.add(d_prev, state_grad, out=d_prev, where=plan.invalid_mask)
 
-            np.take(dgx, plan.in_perm, axis=0, out=dgx_sorted)
-            projection_grads[plan.source][plan.in_entities] += \
-                np.add.reduceat(dgx_sorted, plan.in_starts, axis=0)
+            np.take(dgx, plan.in_perm, axis=1, out=dgx_sorted, mode="clip")
+            projection_grads[plan.source][:, plan.in_entities] += \
+                np.add.reduceat(dgx_sorted, plan.in_starts, axis=1)
 
             state_grad, d_prev = d_prev, state_grad
+        kernel.release()
 
-        state_tensor._accumulate(state_grad)
+        state_tensor._accumulate(state_grad.T.copy())
         for s in spec.used_sources:
             projection_grad = projection_grads[s]
             source = source_tensors[s]
             if weight_input.requires_grad:
-                weight_input._accumulate(source.data.T @ projection_grad)
+                weight_input._accumulate(source.data.T @ projection_grad.T)
             if bias.requires_grad:
-                bias._accumulate(projection_grad.sum(axis=0))
+                bias._accumulate(projection_grad.sum(axis=1))
             if source.requires_grad:
-                source._accumulate(projection_grad @ weight_input.data.T)
+                source._accumulate(projection_grad.T @ weight_input.data.T)
         if weight_hidden.requires_grad:
             weight_hidden._accumulate(weight_hidden_grad)
 
@@ -471,5 +509,5 @@ def run_compiled_scan(
         (final_out,) = make_multi_output([final_state], parents, joint_backward)
         return None, final_out
     aggregated_out, final_out = make_multi_output(
-        [aggregated, final_state], parents, joint_backward)
+        [aggregated_out, final_state], parents, joint_backward)
     return aggregated_out, final_out

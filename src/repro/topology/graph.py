@@ -101,6 +101,8 @@ class Topology:
         self.name = name
         self._graph = nx.DiGraph()
         self._link_order: List[Tuple[int, int]] = []
+        #: ``(source, target) -> link index``, filled alongside the order.
+        self._link_ids: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -123,6 +125,7 @@ class Topology:
         if self._graph.has_edge(source, target):
             raise ValueError(f"duplicate link {source}->{target}")
         self._graph.add_edge(source, target, spec=spec)
+        self._link_ids[(source, target)] = len(self._link_order)
         self._link_order.append((source, target))
         if bidirectional:
             self.add_link(target, source, capacity=capacity,
@@ -164,8 +167,8 @@ class Topology:
     def link_index(self, source: int, target: int) -> int:
         """Return the canonical index of the directed link ``source -> target``."""
         try:
-            return self._link_order.index((int(source), int(target)))
-        except ValueError as error:
+            return self._link_ids[int(source), int(target)]
+        except KeyError as error:
             raise KeyError(f"no link {source}->{target}") from error
 
     def link_by_index(self, index: int) -> LinkSpec:

@@ -76,7 +76,9 @@ class TrafficMatrix:
 
     def as_vector(self, pair_order: List[Tuple[int, int]]) -> np.ndarray:
         """Demands arranged according to an explicit pair order (for models)."""
-        return np.array([self.demand(s, d) for s, d in pair_order], dtype=np.float64)
+        pairs = np.asarray(pair_order, dtype=np.int64).reshape(-1, 2)
+        # The diagonal is zero by construction, so self pairs read 0.0 too.
+        return self._demands[pairs[:, 0], pairs[:, 1]]
 
     def to_dict(self) -> Dict:
         """JSON-serialisable representation."""

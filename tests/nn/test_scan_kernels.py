@@ -1,22 +1,29 @@
 """Gradient and equivalence checks for the compiled scan kernels.
 
 :mod:`repro.nn.scan_kernels` replaces the interpreted per-step tape of
-:func:`repro.nn.recurrent.scan_rnn` with precompiled index plans and
-raw-NumPy step kernels whose backward is a hand-derived closed-form VJP.
-That VJP is held against
+:func:`repro.nn.recurrent.scan_rnn` with precompiled index plans and a
+raw-NumPy gate-major GRU step kernel whose backward is a hand-derived
+closed-form VJP.  That VJP is held against
 
-* float64 central differences (the reusable gradcheck harness) for both
-  cell types and both supported precisions, over plain and interleaved
-  multi-source plans, with the loss reaching both outputs or only one;
+* float64 central differences (the reusable gradcheck harness) in both
+  supported precisions, over plain and interleaved multi-source plans,
+  with the loss reaching both outputs or only one;
 * the interpreted streaming scan itself — forward values and every
   gradient must agree within rounding on the same spec;
 * structural edge cases the model planner produces: a step whose mask
   column is entirely invalid, a single-path bucket, and ragged buckets
   where the trailing steps keep only one path alive.
 
-Cells without a compiled kernel must fall back to the interpreted scan,
-and a spec compiled for a different shape (or a different scatter
-arrangement) must be rejected loudly rather than silently misindex.
+The kernel's in-place sigmoid must match the branch-free ``np.where``
+form to rounding without a floating-point exception at extreme inputs,
+and the executor's gate-major internals must not show through: its
+outputs are C-contiguous ``(rows, hidden)`` arrays, the caller's initial
+state is never written, and reused buffers carry nothing between calls.
+
+Cells without a compiled kernel (the LSTM cell and custom cells) must
+fall back to the interpreted scan, and a spec compiled for a different
+shape (or a different scatter arrangement) must be rejected loudly
+rather than silently misindex.
 """
 
 from __future__ import annotations
@@ -34,7 +41,12 @@ from repro.nn.recurrent import (
     ScanScatter,
     scan_rnn,
 )
-from repro.nn.scan_kernels import compile_scan_spec, compile_step_kernel
+from repro.nn.scan_kernels import (
+    _sigmoid_,
+    compile_scan_spec,
+    compile_step_kernel,
+    run_compiled_scan,
+)
 from repro.nn.tensor import Tensor, no_grad
 
 from tests.nn.gradcheck import module_gradcheck
@@ -98,9 +110,9 @@ def _source_array(seed: int = 5) -> np.ndarray:
 # Central-difference gradchecks through the compiled executor
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_compiled_scan_gradcheck_both_outputs(cell_cls, hidden, dtype):
-    """Closed-form VJPs vs float64 central differences, both cell types."""
+    """Closed-form VJPs vs float64 central differences."""
     spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK, SCATTER)
 
     def forward(cell, source, initial):
@@ -148,7 +160,7 @@ def test_compiled_scan_gradcheck_no_scatter(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_compiled_scan_gradcheck_interleaved(cell_cls, hidden, dtype):
     """Alternating gather sources (the extended model's schedule shape)."""
     step_sources = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -234,7 +246,7 @@ def _run_both_modes(cell_cls, hidden, step_sources, step_rows, mask, scatter):
     (MASK, SCATTER),
     (MASK_WITH_GAP, SCATTER_WITH_GAP),
 ], ids=["ragged", "all-invalid-step"])
-@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3), (LSTMCell, 2)])
+@pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_compiled_matches_interpreted(cell_cls, hidden, mask, scatter):
     """Compiled forward values and all gradients match the interpreted scan."""
     compiled, interpreted = _run_both_modes(cell_cls, hidden, STEP_SOURCES,
@@ -293,6 +305,117 @@ def test_compiled_scan_streams_under_no_grad():
 
 
 # --------------------------------------------------------------------- #
+# The gate-major kernel's sigmoid, layout and buffers
+# --------------------------------------------------------------------- #
+def _where_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The branch-free ``np.where`` form the kernel's sigmoid replaced."""
+    decay = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + decay), decay / (1.0 + decay))
+
+
+@pytest.mark.parametrize("dtype,extreme,bound", [
+    ("float64", 1e4, 4.5e-16),
+    ("float32", 100.0, 1.2e-7),
+], ids=["float64", "float32"])
+def test_inplace_sigmoid_matches_where_form(dtype, extreme, bound):
+    """``0.5·tanh(0.5·x) + 0.5`` in place is within rounding of the
+    ``np.where`` form, and raises no floating-point error even where that
+    form's ``exp`` underflows."""
+    rng = np.random.default_rng(23)
+    x = np.concatenate([np.linspace(-40.0, 40.0, 20001),
+                        rng.normal(scale=6.0, size=20000),
+                        [-extreme, -50.0, -0.0, 0.0, 50.0, extreme]]).astype(dtype)
+    with np.errstate(under="ignore"):
+        reference = _where_sigmoid(x)
+    result = x.copy()
+    with np.errstate(all="raise"):
+        returned = _sigmoid_(result)
+    assert returned is result and result.dtype == np.dtype(dtype)
+    assert np.max(np.abs(result - reference)) <= bound
+    assert result[-1] == 1.0 and 0.0 <= result[-6] < bound
+
+
+def _direct_scan(kernel, spec, source, initial, scatter):
+    """One ``run_compiled_scan`` call on fresh tensors; outputs and grads."""
+    source = Tensor(source, requires_grad=True)
+    initial = Tensor(initial, requires_grad=True)
+    aggregated, final = run_compiled_scan(kernel, (source,), initial, spec, scatter)
+    weights = np.random.default_rng(19).normal(size=aggregated.data.size)
+    ((aggregated.reshape(-1) * weights).sum() + final.sum()).backward()
+    # Each pass hands its scratch back: the autograd node keeps the kernel
+    # alive until the optimiser step.
+    assert not kernel._scratch
+    grads = {name: p.grad.copy() for name, p in kernel.cell.named_parameters()}
+    for parameter in kernel.cell.parameters():
+        parameter.grad = None
+    return aggregated.data, final.data, source.grad, initial.grad, grads
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+def test_compiled_scan_outputs_are_row_major_and_initial_state_untouched(grad):
+    """The scan runs gate-major inside, but hands back C-contiguous
+    ``(paths, hidden)`` final states and ``(segments, hidden)`` aggregates
+    and never writes the caller's initial state."""
+    cell = _make_cell_factory(GRUCell, 3)()
+    spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK, SCATTER)
+    source = Tensor(_source_array(), requires_grad=grad)
+    initial_array = _initial_state(GRUCell, 3)
+    initial_copy = initial_array.copy()
+    initial = Tensor(initial_array, requires_grad=grad)
+    kernel = compile_step_kernel(cell)
+    if grad:
+        aggregated, final = run_compiled_scan(kernel, (source,), initial, spec, SCATTER)
+        (aggregated.sum() + final.sum()).backward()
+        assert initial.grad.flags.c_contiguous and initial.grad.shape == (NUM_PATHS, 3)
+    else:
+        with no_grad():
+            aggregated, final = run_compiled_scan(kernel, (source,), initial, spec,
+                                                  SCATTER)
+    assert final.shape == (NUM_PATHS, 3) and final.data.flags.c_contiguous
+    assert aggregated.shape == (NUM_SEGMENTS, 3) and aggregated.data.flags.c_contiguous
+    assert not np.shares_memory(final.data, initial_array)
+    np.testing.assert_array_equal(initial.data, initial_copy)
+
+
+def test_reused_kernel_buffers_carry_nothing_between_calls():
+    """One kernel over a 3-path batch, a 1-path batch, then the 3-path batch
+    again: the repeat equals the first call exactly, outputs and grads."""
+    kernel = compile_step_kernel(_make_cell_factory(GRUCell, 3)())
+    spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK, SCATTER)
+    small_scatter = _scatter_spec(MASK[:1])
+    small_spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS[:1], MASK[:1],
+                                   small_scatter)
+    first = _direct_scan(kernel, spec, _source_array(), _initial_state(GRUCell, 3),
+                         SCATTER)
+    small = _direct_scan(kernel, small_spec, _source_array(seed=29),
+                         _initial_state(GRUCell, 3, num_paths=1), small_scatter)
+    repeat = _direct_scan(kernel, spec, _source_array(), _initial_state(GRUCell, 3),
+                          SCATTER)
+    assert small[1].shape == (1, 3)
+    for computed, reference in zip(repeat, first):
+        if isinstance(reference, dict):
+            for name in reference:
+                np.testing.assert_array_equal(computed[name], reference[name],
+                                              err_msg=name)
+        else:
+            np.testing.assert_array_equal(computed, reference)
+
+
+def test_spec_reading_past_a_source_is_rejected():
+    """The per-step gathers skip bounds checks, so a source smaller than the
+    rows the spec reads is refused before the scan starts."""
+    cell = _make_cell_factory(GRUCell, 3)()
+    spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK)
+    assert spec.source_rows == {0: int(STEP_ROWS.max()) + 1}
+    short_source = Tensor(_source_array()[:int(STEP_ROWS.max())])
+    with pytest.raises(IndexError, match="rows"):
+        scan_rnn(cell, (short_source,), STEP_SOURCES, STEP_ROWS, MASK,
+                 compiled=spec)
+    with pytest.raises(ValueError, match="non-negative"):
+        compile_scan_spec(STEP_SOURCES, -STEP_ROWS - 1, MASK)
+
+
+# --------------------------------------------------------------------- #
 # Fallback and validation
 # --------------------------------------------------------------------- #
 class _TanhCell(RNNCellBase):
@@ -311,22 +434,27 @@ class _TanhCell(RNNCellBase):
 
 
 def test_unknown_cell_has_no_kernel_and_falls_back():
-    cell = _TanhCell(INPUT_DIM, 3, rng=np.random.default_rng(3))
-    assert compile_step_kernel(cell) is None
+    """A custom cell and the LSTM cell have no kernel: a compiled spec runs
+    them through the interpreted scan, bit for bit, with gradients."""
     spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK, SCATTER)
-    source = Tensor(_source_array(), requires_grad=True)
-    initial = Tensor(np.zeros((NUM_PATHS, 3)))
-    compiled_agg, compiled_final = scan_rnn(
-        cell, (source,), STEP_SOURCES, STEP_ROWS, MASK, initial_state=initial,
-        scatter=SCATTER, compiled=spec)
-    plain_agg, plain_final = scan_rnn(
-        cell, (source,), STEP_SOURCES, STEP_ROWS, MASK, initial_state=initial,
-        scatter=SCATTER)
-    np.testing.assert_array_equal(compiled_agg.data, plain_agg.data)
-    np.testing.assert_array_equal(compiled_final.data, plain_final.data)
-    # The fallback is a real tape: gradients flow.
-    compiled_final.sum().backward()
-    assert source.grad is not None
+    cells = [(_TanhCell(INPUT_DIM, 3, rng=np.random.default_rng(3)),
+              np.zeros((NUM_PATHS, 3))),
+             (_make_cell_factory(LSTMCell, 2)(), _initial_state(LSTMCell, 2))]
+    for cell, initial_array in cells:
+        assert compile_step_kernel(cell) is None
+        source = Tensor(_source_array(), requires_grad=True)
+        initial = Tensor(initial_array)
+        compiled_agg, compiled_final = scan_rnn(
+            cell, (source,), STEP_SOURCES, STEP_ROWS, MASK,
+            initial_state=initial, scatter=SCATTER, compiled=spec)
+        plain_agg, plain_final = scan_rnn(
+            cell, (source,), STEP_SOURCES, STEP_ROWS, MASK,
+            initial_state=initial, scatter=SCATTER)
+        np.testing.assert_array_equal(compiled_agg.data, plain_agg.data)
+        np.testing.assert_array_equal(compiled_final.data, plain_final.data)
+        # The fallback is a real tape: gradients flow.
+        compiled_final.sum().backward()
+        assert source.grad is not None
 
 
 def test_kernel_not_compiled_for_subclasses():

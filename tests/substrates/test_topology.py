@@ -45,6 +45,20 @@ class TestTopologyBasics:
             spec = topology.link_by_index(index)
             assert topology.link_index(spec.source, spec.target) == index
 
+    @pytest.mark.parametrize("topology", [geant2_topology(), ring_topology(6)],
+                             ids=["geant2", "ring"])
+    def test_link_index_follows_links_order(self, topology):
+        """The index map filled by ``add_link`` agrees with ``links()`` order,
+        for a named topology and one built with bidirectional links."""
+        links = topology.links()
+        assert len(links) == topology.num_links
+        for index, spec in enumerate(links):
+            assert topology.link_index(spec.source, spec.target) == index
+        missing = next((u, v) for u in topology.nodes() for v in topology.nodes()
+                       if u != v and not topology.has_link(u, v))
+        with pytest.raises(KeyError, match="no link"):
+            topology.link_index(*missing)
+
     def test_queue_sizes(self):
         topology = self.make_triangle()
         assert topology.queue_sizes() == {0: 16, 1: 16, 2: 16}
