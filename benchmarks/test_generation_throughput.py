@@ -2,11 +2,14 @@
 
 The dataset factory farms whole work units out to worker processes, so
 simulation-backed generation — the cost centre of any OMNeT++-style
-pipeline — should scale with the worker count.  This module runs one small
+pipeline — should scale with the worker count.  This module runs one
 simulation-backed job per worker count and lands a tracked
 ``generation_events_per_sec`` row in ``.benchmarks/BENCH_throughput.json``:
 simulator events processed, wall-clock events/sec and samples/sec per
-worker count.
+worker count.  The job (16 samples of 2 s of simulated time on a 6-ring,
+in units of 2) takes a few seconds on one worker, so the farm's start-up
+does not hide the scaling: a job of about 0.5 s read the same wall time
+on 1 and 2 workers.
 
 The worker-scaling bar (≥ 1.2x samples/sec at 4 workers over 1) is only
 asserted on hosts with at least 4 CPUs; on smaller hosts (the committed
@@ -31,6 +34,10 @@ from repro.datasets.factory import DatasetJobSpec, run_job
 
 SCALING_BAR = 1.2
 
+SAMPLES = 16
+UNIT_SIZE = 2
+SIMULATION_DURATION = 2.0
+
 RESULTS: dict = {}
 
 
@@ -41,13 +48,14 @@ def _write_bench_json(write_bench_rows):
 
 
 def _bench_spec() -> DatasetJobSpec:
-    """A short simulation-backed sweep: 4 units of 2 samples on a 6-ring."""
+    """A simulation-backed sweep: 8 units of 2 samples on a 6-ring."""
     return DatasetJobSpec(
         topologies=("ring:6",),
-        samples_per_scenario=8,
-        unit_size=2,
+        samples_per_scenario=SAMPLES,
+        unit_size=UNIT_SIZE,
         seed=11,
-        base_config={"backend": "simulation", "simulation_duration": 0.3},
+        base_config={"backend": "simulation",
+                     "simulation_duration": SIMULATION_DURATION},
     )
 
 
@@ -74,8 +82,8 @@ def test_generation_events_per_sec(tmp_path_factory, bench_results_dir):
     assert len({row["events_processed"] for row in rows.values()}) == 1
 
     RESULTS["generation_events_per_sec"] = {
-        "topology": "ring:6", "samples": 8, "unit_size": 2,
-        "backend": "simulation", "simulation_duration": 0.3,
+        "topology": "ring:6", "samples": SAMPLES, "unit_size": UNIT_SIZE,
+        "backend": "simulation", "simulation_duration": SIMULATION_DURATION,
         "workers": rows,
     }
     # Archive the catalog that produced these figures (CI artifact).
@@ -83,7 +91,8 @@ def test_generation_events_per_sec(tmp_path_factory, bench_results_dir):
         os.path.join(str(root / f"workers{worker_counts[-1]}"), "manifest.json"),
         bench_results_dir / "BENCH_generation_catalog.json")
 
-    print(f"\nfactory generation, 8 simulation-backed samples on ring:6")
+    print(f"\nfactory generation, {SAMPLES} simulation-backed samples on ring:6 "
+          f"({SIMULATION_DURATION} s simulated each)")
     for workers in worker_counts:
         row = rows[str(workers)]
         print(f"  workers={workers}: {row['wall_seconds']:6.2f} s   "

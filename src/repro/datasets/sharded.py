@@ -12,8 +12,12 @@ writes.  A sharded store is a *directory*::
 Every sample is stored as a handful of typed arrays (routing as offsets
 into one flat node-id vector, traffic as the dense float64 matrix, targets
 verbatim) plus one small JSON string for the non-array attributes, so
-streamed epochs read samples with **zero JSON parsing of numeric data** —
-``np.load`` hands the arrays straight back, and round trips are bit-exact.
+streamed epochs read samples with **zero JSON parsing of numeric data**,
+and round trips are bit-exact.  ``np.savez`` stores the arrays
+uncompressed, so the reader copies each one straight out of the shard's
+bytes (:class:`_NpzShard`) instead of going through ``np.load``, whose
+per-member zip and header parsing cost more than the rest of a sample's
+decode.
 
 Stores written before format 3 still read: a format-2 manifest lists
 gzipped-JSONL shards (``.jsonl.gz``, one JSON-encoded Sample dict per
@@ -59,9 +63,13 @@ import json
 import math
 import os
 import shutil
-from typing import Iterator, List, Optional, Tuple
+import struct
+import zipfile
+import zlib
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.testing.faults import fault_point
 
@@ -178,6 +186,105 @@ def _decode_sample(get, available, meta_json: str) -> Sample:
         losses=get("losses") if "losses" in available else None,
         metadata=meta.get("metadata", {}),
     )
+
+
+class _NpzShard:
+    """The samples of one format-3 shard, decoded straight from its bytes.
+
+    ``np.savez`` stores its members uncompressed, so every array is a
+    slice of the shard's bytes.  The zip directory is indexed and the
+    member names are grouped by sample once per shard.  Each member's
+    CRC-32 is checked, as :mod:`zipfile` does, and each distinct npy
+    header is parsed once per shard with NumPy's public header readers (a
+    GEANT2 shard has 9 distinct headers among its 289 members).
+    Compressed members and object dtypes are refused, as
+    ``np.load(allow_pickle=False)`` refuses the latter, and every array is
+    copied out of the bytes.
+    """
+
+    def __init__(self, blob: bytes, path: str) -> None:
+        self._blob = memoryview(blob)
+        self._path = path
+        #: Parsed npy headers: header bytes -> (shape, fortran order, dtype).
+        self._headers: Dict[bytes, Tuple[tuple, bool, np.dtype]] = {}
+        try:
+            with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+                members = archive.infolist()
+        except zipfile.BadZipFile as error:
+            raise ValueError(f"shard '{path}' is not a readable npz archive: "
+                             f"{error}") from error
+        self._members = {info.filename: info for info in members}
+        #: Sample prefix (``s00000``) -> {field: member name}.
+        self._samples: Dict[str, Dict[str, str]] = {}
+        for name in self._members:
+            prefix, dot, field = name[:-len(".npy")].partition(".")
+            if dot:
+                self._samples.setdefault(prefix, {})[field] = name
+
+    def _fail(self, member: str, problem: str) -> ValueError:
+        return ValueError(f"shard '{self._path}' member '{member}' {problem}")
+
+    def read(self, member: str) -> np.ndarray:
+        """A private copy of the array stored under ``member``."""
+        info = self._members.get(member)
+        if info is None:
+            raise self._fail(member, "is missing")
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise self._fail(member, "is compressed; format-3 shards store "
+                             "their arrays uncompressed")
+        # The local header's own name and extra lengths locate the data.
+        name_length, extra_length = struct.unpack_from(
+            "<HH", self._blob, info.header_offset + 26)
+        start = info.header_offset + 30 + name_length + extra_length
+        data = self._blob[start:start + info.file_size]
+        if len(data) != info.file_size or zlib.crc32(data) != info.CRC:
+            raise self._fail(member, "failed its CRC-32 check (corrupted "
+                             "shard bytes)")
+        # Magic, version, then a 2-byte (version 1) or 4-byte header length.
+        length_bytes = 2 if data[6:7] == b"\x01" else 4
+        header_end = 8 + length_bytes + int.from_bytes(
+            data[8:8 + length_bytes], "little")
+        header = bytes(data[:header_end])
+        parsed = self._headers.get(header)
+        if parsed is None:
+            parsed = self._headers[header] = self._parse_header(member, header)
+        shape, fortran_order, dtype = parsed
+        count = math.prod(shape)
+        if len(data) != header_end + count * dtype.itemsize:
+            raise self._fail(member, "holds fewer or more bytes than its "
+                             "header declares")
+        flat = np.frombuffer(data, dtype=dtype, count=count, offset=header_end)
+        return flat.reshape(shape, order="F" if fortran_order else "C").copy(order="K")
+
+    def _parse_header(self, member: str, header: bytes) -> Tuple[tuple, bool, np.dtype]:
+        handle = io.BytesIO(header)
+        try:
+            version = npy_format.read_magic(handle)
+            if version == (1, 0):
+                parsed = npy_format.read_array_header_1_0(handle)
+            elif version == (2, 0):
+                parsed = npy_format.read_array_header_2_0(handle)
+            else:
+                raise ValueError(f"npy format version {version} is not supported")
+        except ValueError as error:
+            raise self._fail(member, f"has an unreadable npy header: {error}") from error
+        if parsed[2].hasobject:
+            raise self._fail(member, "holds an object array, which cannot be "
+                             "read without pickle")
+        return parsed
+
+    def samples(self):
+        """Decode the shard's samples one at a time; returns their count.
+
+        Only one sample's arrays are live beside the shard's bytes.
+        """
+        metas = self.read("meta.npy")
+        for i in range(len(metas)):
+            arrays = {field: self.read(member) for field, member
+                      in self._samples.get(f"s{i:05d}", {}).items()}
+            yield _decode_sample(arrays.__getitem__, arrays, str(metas[i]))
+            del arrays
+        return len(metas)
 
 
 def file_sha256(path: str) -> str:
@@ -410,19 +517,22 @@ class ShardedDatasetReader:
 
     The reader is a sized iterable: ``len(reader)`` is the manifest's total
     and every ``iter(reader)`` starts a fresh pass over the shards (one pass
-    per training epoch).  Iteration decodes one :class:`Sample` at a time
-    (an npz shard's arrays, or one line of a format-2 JSONL shard), so only
-    O(1) samples are ever live — the property the out-of-core training path
-    is built on.
+    per training epoch).  Each pass reads every shard's bytes once and
+    decodes one :class:`Sample` at a time from them (an npz shard's
+    arrays, or one line of a format-2 JSONL shard), so what is live is one
+    shard's bytes plus one sample's arrays, whatever the store's size —
+    the property the out-of-core training path is built on.
 
     With ``verify_checksums=True`` (the default) each shard's bytes are
-    re-hashed the **first** time this reader instance touches it and
-    compared to the SHA-256 stamped in the manifest; a mismatch raises
+    hashed the **first** time this reader instance touches it and compared
+    to the SHA-256 stamped in the manifest; a mismatch raises
     :class:`ValueError` naming the file and both digests instead of
-    silently decoding rotten data.  Verification costs one extra pass over
-    the shard's (compressed) bytes on the first epoch only — later epochs
-    decode straight from disk — and is skipped for shards whose manifest
-    record predates checksums.
+    silently decoding rotten data.  Verification costs one hash of the
+    bytes already read, on the first epoch only, and is skipped for shards
+    whose manifest record predates checksums.  Every pass still checks
+    each npz member's CRC-32, so bytes that rot after the first epoch (or
+    under ``verify_checksums=False``) are refused with an error naming the
+    shard and the member.
     """
 
     def __init__(self, path: str, verify_checksums: bool = True) -> None:
@@ -461,20 +571,19 @@ class ShardedDatasetReader:
     def __len__(self) -> int:
         return int(self._manifest["total_samples"])
 
-    def _checked_source(self, shard: dict, shard_path: str):
-        """The shard's decode source: its path, or verified in-memory bytes.
+    def _read_shard(self, shard: dict, shard_path: str) -> bytes:
+        """The shard's bytes, read once for this pass.
 
-        First touch of a checksummed shard reads the whole file once,
-        compares digests, and hands the already-read bytes to the decoder
-        (so verification never costs a second disk pass); later touches —
-        and shards without a recorded checksum — decode from the path.
+        The reader's first touch of a checksummed shard also hashes the
+        bytes and compares the digest with the manifest's; later passes,
+        and shards without a recorded checksum, skip the hash.
         """
+        with open(shard_path, "rb") as handle:
+            blob = handle.read()
         expected = shard.get("sha256")
         if (not self.verify_checksums or expected is None
                 or shard["name"] in self._verified_shards):
-            return shard_path
-        with open(shard_path, "rb") as handle:
-            blob = handle.read()
+            return blob
         actual = hashlib.sha256(blob).hexdigest()
         if actual != expected:
             raise ValueError(
@@ -484,46 +593,39 @@ class ShardedDatasetReader:
                 "regenerate it (factory stores: `repro-net generate "
                 "--resume` quarantines and re-executes the unit)")
         self._verified_shards.add(shard["name"])
-        return io.BytesIO(blob)
+        return blob
 
     def __iter__(self) -> Iterator[Sample]:
         for shard in self._manifest["shards"]:
-            shard_path = os.path.join(self.path, shard["name"])
-            source = self._checked_source(shard, shard_path)
-            if shard["name"].endswith(SHARD_EXTENSION):
-                count = yield from self._iter_binary_shard(source)
-            else:
-                count = yield from self._iter_jsonl_shard(source)
+            count = yield from self._iter_shard(shard)
             if count != shard["num_samples"]:
                 raise ValueError(
                     f"shard '{shard['name']}' of '{self.path}' holds {count} "
                     f"samples but the manifest records {shard['num_samples']} "
                     "(truncated or corrupted shard)")
 
+    def _iter_shard(self, shard: dict):
+        """Decode one shard's samples; returns their count.
+
+        The shard's bytes live only as long as this generator, so one
+        shard's bytes are read at a time.
+        """
+        shard_path = os.path.join(self.path, shard["name"])
+        blob = self._read_shard(shard, shard_path)
+        if shard["name"].endswith(SHARD_EXTENSION):
+            return (yield from _NpzShard(blob, shard_path).samples())
+        return (yield from self._iter_jsonl_shard(blob))
+
     @staticmethod
-    def _iter_jsonl_shard(source):
+    def _iter_jsonl_shard(blob: bytes):
         count = 0
-        with gzip.open(source, "rt", encoding="utf-8") as handle:
+        with gzip.open(io.BytesIO(blob), "rt", encoding="utf-8") as handle:
             for line in handle:
                 if not line.strip():
                     continue
                 yield Sample.from_dict(json.loads(line))
                 count += 1
         return count
-
-    @staticmethod
-    def _iter_binary_shard(source):
-        with np.load(source, allow_pickle=False) as archive:
-            available = set(archive.files)
-            metas = archive["meta"]
-            for i in range(len(metas)):
-                prefix = f"s{i:05d}."
-                yield _decode_sample(
-                    lambda field, prefix=prefix: archive[prefix + field],
-                    {name[len(prefix):] for name in available
-                     if name.startswith(prefix)},
-                    str(metas[i]))
-        return len(metas)
 
     def read_all(self) -> List[Sample]:
         """Materialise the whole store as a list (the non-streaming path)."""

@@ -9,10 +9,11 @@ known.  This module compiles that pipeline:
 
 * :func:`compile_scan_spec` turns the per-step index arrays of a
   :class:`~repro.models.message_passing.ScanPlan` into a
-  :class:`ScanKernelSpec` — per-step contiguous row indices, validity
-  masks, and sort/offset arrays that let every scatter run as
-  ``np.add.reduceat`` over presorted segments instead of ``np.add.at``.
-  Specs are built once per (topology, bucket) and memoised on the plan.
+  :class:`ScanKernelSpec` — a path order, and per step the width of the
+  live prefix, contiguous row indices, validity masks, and sort/offset
+  arrays that let every scatter run as ``np.add.reduceat`` over presorted
+  segments instead of ``np.add.at``.  Specs are built once per (topology,
+  bucket) and memoised on the plan.
 * :func:`compile_step_kernel` wraps a :class:`~repro.nn.recurrent.GRUCell`
   in a :class:`GRUStepKernel` exposing the cell maths as raw-NumPy forward
   and closed-form VJP routines that write into caller-provided buffers.
@@ -32,8 +33,18 @@ so the update, reset and candidate blocks are contiguous row ranges.  Every
 element-wise op of the cell then runs as one inner loop over a contiguous
 block; in the ``(paths, 3·hidden)`` layout each gate was a column slice and
 every op paid one strided inner loop per path, which cost more than the
-transcendentals themselves.  The scan transposes in and out once, so its
-inputs and outputs keep :func:`scan_rnn`'s ``(rows, hidden)`` contract.
+transcendentals themselves.  The scan permutes and transposes in and out
+once, so its inputs and outputs keep :func:`scan_rnn`'s ``(rows, hidden)``
+contract and path order.
+
+The executor also computes on **live paths only**.  A bucket's sequences
+are padded to its longest path, and in a merged GEANT2 batch fewer than
+half of the padded (path, step) slots are real hops (47.3% in perfbench's
+``train`` batches).  The spec orders the paths by their last valid step,
+longest-lived first, so the paths still live at step ``t`` — valid at
+``t`` or later — are a prefix of ``live_t`` columns, and every step's
+gather, cell step, emission and VJP run on ``(·, live_t)`` blocks.  A path's
+final state is written out when it leaves the prefix.
 
 Cells other than the exact :class:`~repro.nn.recurrent.GRUCell` (the LSTM
 cell and custom cells) fall back to the interpreted scan transparently
@@ -48,7 +59,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.tensor import (
-    _GRAD_BUFFER_POOL,
     Tensor,
     is_grad_enabled,
     make_multi_output,
@@ -62,6 +72,9 @@ __all__ = [
     "run_compiled_scan",
     "GRUStepKernel",
 ]
+
+#: The two flat arrays no-grad forward alternates its step outputs between.
+_STATE_BUFFERS = ("state_even", "state_odd")
 
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
@@ -86,7 +99,7 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
 class GRUStepKernel:
     """Raw-NumPy GRU step over pre-projected inputs, in gate-major layout.
 
-    ``state`` is ``(hidden, paths)`` and ``gx`` is ``(3·hidden, paths)``,
+    ``state`` is ``(hidden, live)`` and ``gx`` is ``(3·hidden, live)``,
     the rows of ``W_inᵀ·x + bias`` for the update, reset and candidate
     gates in that order.  The kernel only adds the recurrent contribution
     ``W_hhᵀ·state``, the one BLAS call per step the recurrence genuinely
@@ -94,6 +107,10 @@ class GRUStepKernel:
     recomputes the step's gates from its carried-state checkpoint rather
     than keeping them from forward, which holds the scan's live memory at
     O(paths·hidden) per step.
+
+    Scratch arrays come from :meth:`buffer`: one flat array per name, sized
+    by :meth:`reserve` for the widest step of a pass, whose head serves
+    every narrower step.
     """
 
     def __init__(self, cell) -> None:
@@ -104,14 +121,28 @@ class GRUStepKernel:
         self.bias = cell.bias
         self.gate_width = 3 * cell.hidden_size
         self._scratch: Dict[str, np.ndarray] = {}
+        self._width = 0
+        self._dtype = np.dtype(np.float64)
 
-    def _buffer(self, name: str, rows: int, like: np.ndarray) -> np.ndarray:
-        """A reused ``(rows, paths)`` scratch array shaped after ``like``."""
-        shape = (rows, like.shape[1])
-        buffer = self._scratch.get(name)
-        if buffer is None or buffer.shape != shape or buffer.dtype != like.dtype:
-            buffer = self._scratch[name] = np.empty(shape, dtype=like.dtype)
-        return buffer
+    def reserve(self, width: int, dtype) -> None:
+        """Size the scratch for a pass whose steps are at most ``width``
+        paths wide, in ``dtype``."""
+        self._scratch.clear()
+        self._width = width
+        self._dtype = np.dtype(dtype)
+
+    def buffer(self, name: str, rows: int, live: int) -> np.ndarray:
+        """A reused, C-contiguous ``(rows, live)`` view of scratch ``name``.
+
+        The view is the head of one flat array allocated once per pass, so
+        narrower steps allocate nothing: arrays of this size freed and
+        reallocated every step let the C heap trim and refault its pages.
+        """
+        flat = self._scratch.get(name)
+        if flat is None or flat.size < rows * live:
+            flat = self._scratch[name] = np.empty(
+                rows * max(live, self._width), dtype=self._dtype)
+        return flat[:rows * live].reshape(rows, live)
 
     def release(self) -> None:
         """Drop the scratch arrays.
@@ -145,7 +176,7 @@ class GRUStepKernel:
     def step(self, gx: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Advance ``state`` one step into ``out`` and return ``out``."""
         hidden = self.hidden
-        gates = self._buffer("gates", self.gate_width, state)
+        gates = self.buffer("gates", self.gate_width, state.shape[1])
         np.matmul(self.weight_hidden.data.T, state, out=gates)
         self._activate(gx, gates, gates)
         update = gates[:hidden]
@@ -166,11 +197,12 @@ class GRUStepKernel:
         gradient into ``weight_hidden_grad``.
         """
         hidden = self.hidden
+        live = state.shape[1]
         weight_hidden = self.weight_hidden.data
-        gh = self._buffer("gates", self.gate_width, state)
-        gates = self._buffer("activations", self.gate_width, state)
-        dgh = self._buffer("recurrent_grad", self.gate_width, state)
-        scratch = self._buffer("scratch", 2 * hidden, state)
+        gh = self.buffer("gates", self.gate_width, live)
+        gates = self.buffer("activations", self.gate_width, live)
+        dgh = self.buffer("recurrent_grad", self.gate_width, live)
+        scratch = self.buffer("scratch", 2 * hidden, live)
         np.matmul(weight_hidden.T, state, out=gh)
         self._activate(gx, gh, gates)
         update = gates[:hidden]
@@ -231,20 +263,26 @@ def compile_step_kernel(cell) -> Optional[GRUStepKernel]:
 
 @dataclasses.dataclass
 class StepPlan:
-    """Precompiled index arrays for one scan step.
+    """Precompiled index arrays for one scan step, over its live prefix.
 
-    ``in_perm``/``in_starts``/``in_entities`` sort the step's source rows by
-    entity so the input-gradient scatter runs as ``np.add.reduceat`` over
-    contiguous runs; the ``emit_*`` arrays do the same for the forward
-    output scatter (``emit_unique_segments`` are unique, so the follow-up
-    fancy ``+=`` is exact).  ``valid_mask``/``invalid_mask`` are ``(1,
-    paths)`` boolean rows that broadcast over the gate-major state; both
-    are ``None`` when every path is valid.  A step whose mask column is
-    entirely invalid is a no-op for both passes and carries
-    ``valid_count == 0`` with every index array empty/``None``.
+    ``live`` is the number of paths valid at this step or a later one; in
+    the spec's path order they are the first ``live`` columns, and every
+    array here indexes that prefix.  ``rows`` are the prefix's source rows;
+    ``in_perm``/``in_starts``/``in_entities`` sort them by entity (ties by
+    original path index) so the input-gradient scatter runs as
+    ``np.add.reduceat`` over contiguous runs; the ``emit_*`` arrays do the
+    same for the forward output scatter, their rows in prefix positions
+    (``emit_unique_segments`` are unique, so the follow-up fancy ``+=`` is
+    exact).  ``valid_mask``/``invalid_mask`` are ``(1, live)`` boolean rows
+    that broadcast over the gate-major state when the prefix has holes
+    (paths invalid here but valid later); both are ``None`` when the whole
+    prefix is valid.  A step whose mask column is entirely invalid is a
+    no-op for both passes and carries ``valid_count == 0`` with every index
+    array empty/``None``.
     """
 
     source: int
+    live: int
     rows: np.ndarray
     valid_count: int
     valid_mask: Optional[np.ndarray]
@@ -263,9 +301,11 @@ class StepPlan:
 class ScanKernelSpec:
     """Compiled form of a scan plan: one :class:`StepPlan` per step.
 
-    ``source_rows`` maps every source a step reads to one past the largest
-    row it reads, so the executor checks the sources' sizes once per scan
-    and its per-step gathers can skip the per-element bounds check.
+    ``order[i]`` is the path in column ``i`` of the executor's arrays and
+    ``inverse[p]`` the column of path ``p``.  ``source_rows`` maps every
+    source a step reads to one past the largest row it reads, so the
+    executor checks the sources' sizes once per scan and its per-step
+    gathers can skip the per-element bounds check.
     """
 
     num_paths: int
@@ -274,6 +314,8 @@ class ScanKernelSpec:
     steps: List[StepPlan]
     used_sources: Tuple[int, ...]
     source_rows: Dict[int, int]
+    order: np.ndarray
+    inverse: np.ndarray
 
 
 def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
@@ -283,6 +325,16 @@ def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
     Built once per (topology, bucket) and reused for every forward/backward
     over that batch shape; all sorting and uniqueness analysis happens here
     rather than inside the step loop.
+
+    The paths are ordered by their last valid step, longest-lived first,
+    with a stable sort (a path with no valid step goes last).  Step ``t``'s
+    valid paths then lie in the prefix of the ``live`` paths valid at ``t``
+    or later, and each :class:`StepPlan` covers that prefix only.  The
+    reductions keep their summation order: emissions are sorted by segment
+    in their original order, and input-gradient rows by entity with ties
+    broken by original path index, so both ``reduceat`` calls add the same
+    non-zero terms in the same order as over every path (the paths dropped
+    only ever added exact zeros).
     """
     step_rows = np.asarray(step_rows, dtype=np.int64)
     if step_rows.ndim != 2:
@@ -293,32 +345,42 @@ def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
     if valid.shape != (num_paths, num_steps):
         raise ValueError(f"mask shape {valid.shape} does not match {(num_paths, num_steps)}")
 
+    last = np.where(valid.any(axis=1),
+                    num_steps - 1 - np.argmax(valid[:, ::-1], axis=1), -1)
+    order = np.argsort(-last, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(num_paths)
+    live_counts = np.count_nonzero(last[:, None] >= np.arange(num_steps), axis=0)
+    valid = valid[order]
+    step_rows = step_rows[order]
+
     steps: List[StepPlan] = []
     source_rows: Dict[int, int] = {}
     for step in range(num_steps):
         source = int(step_sources[step])
-        column = valid[:, step]
+        live = int(live_counts[step])
+        column = valid[:live, step]
         valid_count = int(column.sum())
         if valid_count == 0:
             steps.append(StepPlan(
-                source=source, rows=np.zeros(0, dtype=np.int64), valid_count=0,
-                valid_mask=None, invalid_mask=None,
+                source=source, live=live, rows=np.zeros(0, dtype=np.int64),
+                valid_count=0, valid_mask=None, invalid_mask=None,
                 in_perm=None, in_starts=None, in_entities=None))
             continue
 
-        rows = np.ascontiguousarray(step_rows[:, step])
+        rows = np.ascontiguousarray(step_rows[:live, step])
         if rows.min() < 0:
             raise ValueError("step_rows must be non-negative")
-        in_perm = np.argsort(rows, kind="stable")
+        in_perm = np.lexsort((order[:live], rows))
         sorted_rows = rows[in_perm]
         in_entities, in_starts = np.unique(sorted_rows, return_index=True)
 
-        fully_valid = valid_count == num_paths
+        fully_valid = valid_count == live
         valid_mask = None if fully_valid else column[None, :].copy()
         invalid_mask = None if fully_valid else ~valid_mask
 
         plan = StepPlan(
-            source=source, rows=rows, valid_count=valid_count,
+            source=source, live=live, rows=rows, valid_count=valid_count,
             valid_mask=valid_mask, invalid_mask=invalid_mask,
             in_perm=in_perm, in_starts=in_starts, in_entities=in_entities)
 
@@ -329,6 +391,10 @@ def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
             if emit_rows.min() < 0 or emit_rows.max() >= num_paths:
                 raise ValueError(f"scatter rows of step {step} must index the "
                                  f"{num_paths} paths")
+            emit_rows = inverse[emit_rows]
+            if emit_rows.max() >= live:
+                raise ValueError(f"scatter rows of step {step} must be paths "
+                                 "valid at that step or a later one")
             emit_perm = np.argsort(emit_segments, kind="stable")
             sorted_segments = emit_segments[emit_perm]
             unique_segments, emit_starts = np.unique(sorted_segments, return_index=True)
@@ -344,7 +410,8 @@ def compile_scan_spec(step_sources: np.ndarray, step_rows: np.ndarray,
     return ScanKernelSpec(
         num_paths=num_paths, num_steps=num_steps,
         has_scatter=scatter is not None, steps=steps,
-        used_sources=tuple(sorted(source_rows)), source_rows=source_rows)
+        used_sources=tuple(sorted(source_rows)), source_rows=source_rows,
+        order=order, inverse=inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +436,20 @@ def run_compiled_scan(
     gradients into per-source projection-gradient matrices that are folded
     into the weight/bias/source gradients once per scan.
 
-    Every array inside the scan is gate-major (see the module docstring):
-    the initial state is copied in transposed, and the final state and
-    the aggregates are transposed out into C-contiguous ``(paths, hidden)``
-    and ``(segments, hidden)`` arrays, so the caller's initial state is
-    never written.
+    Every array inside the scan is gate-major and in the spec's path order
+    (see the module docstring), and each step works on its live prefix: the
+    initial state is permuted in once into a private copy, checkpoints are
+    ``live`` columns wide, and a path's final state is written out, in the
+    caller's path order, when it leaves the prefix.  The final state and the
+    aggregates come out as C-contiguous ``(paths, hidden)`` and
+    ``(segments, hidden)`` arrays, so the caller's initial state is never
+    written.
     """
     num_paths = spec.num_paths
     initial = state_tensor.data
     dtype = initial.dtype
     state_size = initial.shape[1]
+    gate_width = kernel.gate_width
 
     parameters = tuple(kernel.cell.parameters())
     parents = tuple(source_tensors) + (state_tensor,) + parameters
@@ -392,14 +463,15 @@ def run_compiled_scan(
     # compile_scan_spec), so the takes use mode="clip" and skip the
     # per-element bounds check.
     projections = {s: kernel.project(source_tensors[s].data) for s in spec.used_sources}
-    gx = np.empty((kernel.gate_width, num_paths), dtype=dtype)
     aggregated = (np.zeros((state_size, scatter.num_segments), dtype=dtype)
                   if scatter is not None else None)
+    kernel.reserve(num_paths, dtype)
 
-    # A private gate-major copy: later steps may recycle it as a buffer.
-    state = initial.T.copy()
+    state = np.take(initial.T, spec.order, axis=1)
+    final_state = np.empty_like(initial)
+    width = num_paths
+    parity = 0
     checkpoints: Optional[List[np.ndarray]] = [] if grad_needed else None
-    spare: Optional[np.ndarray] = None
     for plan in spec.steps:
         if plan.valid_count == 0:
             # Nothing advances: carry the state array itself as the
@@ -407,32 +479,36 @@ def run_compiled_scan(
             if checkpoints is not None:
                 checkpoints.append(state)
             continue
+        live = plan.live
+        if live < width:
+            # The paths past the prefix have taken their last step.
+            final_state[spec.order[live:width]] = state[:, live:width].T
+            state = state[:, :live]
+            width = live
         if grad_needed:
             # Checkpoints must persist until backward — every step needs a
             # fresh output array.
             checkpoints.append(state)
-            out = np.empty_like(state)
-        elif spare is not None:
-            out = spare
-            spare = None
+            out = np.empty((state_size, live), dtype=dtype)
         else:
-            out = np.empty_like(state)
+            # Inference alternates between two flat buffers: the consumed
+            # state's array becomes the next step's output.
+            out = kernel.buffer(_STATE_BUFFERS[parity], state_size, live)
+            parity ^= 1
+        gx = kernel.buffer("inputs", gate_width, live)
         np.take(projections[plan.source], plan.rows, axis=1, out=gx, mode="clip")
         kernel.step(gx, state, out)
         if plan.invalid_mask is not None:
             np.copyto(out, state, where=plan.invalid_mask)
-        if not grad_needed:
-            # Inference double-buffers: the consumed state becomes the next
-            # step's output buffer.
-            spare = state
         state = out
         if aggregated is not None and plan.emit_starts is not None:
-            emitted = np.take(state, plan.emit_sorted_rows, axis=1, mode="clip")
+            emitted = kernel.buffer("emitted", state_size, len(plan.emit_sorted_rows))
+            np.take(state, plan.emit_sorted_rows, axis=1, out=emitted, mode="clip")
             sums = np.add.reduceat(emitted, plan.emit_starts, axis=1)
             aggregated[:, plan.emit_unique_segments] += sums
+    final_state[spec.order[:width]] = state.T
 
     kernel.release()
-    final_state = state.T.copy()
     aggregated_out = aggregated.T.copy() if aggregated is not None else None
 
     if not grad_needed:
@@ -449,17 +525,20 @@ def run_compiled_scan(
             aggregated_grad, final_grad = None, grads[0]
         else:
             aggregated_grad, final_grad = grads
+        # Two full-width gradient carries, both seeded with the final-state
+        # gradient in the spec's path order.  A step reads one carry's live
+        # prefix and writes the other's, and the prefix only widens in
+        # reverse, so a path's column holds its final gradient in both until
+        # the path's last step enters the prefix.
         if final_grad is not None:
-            state_grad = np.asarray(final_grad, dtype=dtype).T.copy()
+            carry = np.take(np.asarray(final_grad, dtype=dtype).T, spec.order, axis=1)
         else:
-            state_grad = np.zeros((state_size, num_paths), dtype=dtype)
+            carry = np.zeros((state_size, num_paths), dtype=dtype)
+        spare = carry.copy()
         if aggregated_grad is not None:
             aggregated_grad = np.asarray(aggregated_grad, dtype=dtype).T.copy()
 
-        d_prev = np.empty_like(state_grad)
-        gx = np.empty((kernel.gate_width, num_paths), dtype=dtype)
-        dgx = np.empty_like(gx)
-        dgx_sorted = np.empty_like(dgx)
+        kernel.reserve(num_paths, dtype)
         projection_grads = {s: np.zeros_like(projections[s])
                             for s in spec.used_sources}
         weight_hidden_grad = np.zeros_like(weight_hidden.data)
@@ -467,32 +546,37 @@ def run_compiled_scan(
         for plan, checkpoint in zip(reversed(spec.steps), reversed(checkpoints)):
             if plan.valid_count == 0:
                 continue
+            live = plan.live
             if aggregated_grad is not None and plan.emit_rows is not None:
                 # Each valid path emits exactly one row per step, so the
                 # rows are unique and a fancy-index += is exact.
-                state_grad[:, plan.emit_rows] += aggregated_grad[:, plan.emit_segments]
+                carry[:, plan.emit_rows] += aggregated_grad[:, plan.emit_segments]
+            state_grad = carry[:, :live]
+            d_prev = spare[:, :live]
 
+            gx = kernel.buffer("inputs", gate_width, live)
             np.take(projections[plan.source], plan.rows, axis=1, out=gx, mode="clip")
             if plan.valid_mask is None:
                 d_new = state_grad
             else:
-                d_new = _GRAD_BUFFER_POOL.take(state_grad.shape, state_grad.dtype)
+                d_new = kernel.buffer("masked_grad", state_size, live)
                 np.multiply(state_grad, plan.valid_mask, out=d_new)
+            dgx = kernel.buffer("input_grads", gate_width, live)
             kernel.step_backward(gx, checkpoint, d_new, dgx, d_prev,
                                  weight_hidden_grad)
-            if plan.valid_mask is not None:
-                _GRAD_BUFFER_POOL.give(d_new)
+            if plan.invalid_mask is not None:
                 # Masked-out paths carry their gradient past this step.
                 np.add(d_prev, state_grad, out=d_prev, where=plan.invalid_mask)
 
+            dgx_sorted = kernel.buffer("sorted_input_grads", gate_width, live)
             np.take(dgx, plan.in_perm, axis=1, out=dgx_sorted, mode="clip")
             projection_grads[plan.source][:, plan.in_entities] += \
                 np.add.reduceat(dgx_sorted, plan.in_starts, axis=1)
 
-            state_grad, d_prev = d_prev, state_grad
+            carry, spare = spare, carry
         kernel.release()
 
-        state_tensor._accumulate(state_grad.T.copy())
+        state_tensor._accumulate(carry.T[spec.inverse])
         for s in spec.used_sources:
             projection_grad = projection_grads[s]
             source = source_tensors[s]

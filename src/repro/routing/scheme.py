@@ -17,10 +17,12 @@ class RoutingScheme:
     The scheme is validated against a topology: every consecutive pair of
     nodes in a path must be joined by a directed link, the path must start at
     the source and end at the destination, and it must not revisit nodes.
-    ``validate=False`` skips that per-hop validation — strictly for paths
-    that were *already* validated by a scheme instance and round-tripped
-    through trusted storage (the binary shard codec), where re-walking every
-    hop would dominate the decode cost.
+    ``validate=False`` skips that per-hop validation and adopts ``paths``
+    as given — strictly for paths that were *already* validated by a scheme
+    instance and round-tripped through trusted storage (the binary shard
+    codec, whose freshly built dict maps ``(int, int)`` pairs to lists of
+    ints that nothing else holds), where re-walking or even re-copying
+    every path would dominate the decode cost.
     """
 
     def __init__(self, topology: Topology, paths: Dict[PathKey, Sequence[int]],
@@ -32,8 +34,7 @@ class RoutingScheme:
                 self._validate_path(int(source), int(destination), list(path))
                 self._paths[(int(source), int(destination))] = [int(n) for n in path]
         else:
-            for (source, destination), path in paths.items():
-                self._paths[(int(source), int(destination))] = list(path)
+            self._paths = dict(paths)
 
     def _validate_path(self, source: int, destination: int, path: List[int]) -> None:
         if source == destination:

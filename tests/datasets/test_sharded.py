@@ -23,6 +23,7 @@ from repro.datasets import (
 from repro.datasets.sharded import (
     MANIFEST_NAME,
     SHARD_EXTENSION,
+    file_sha256,
     shard_size_for,
     write_shard,
 )
@@ -267,9 +268,10 @@ class TestBinaryPayload:
                 assert attributes["metadata"] == original.metadata
 
     def test_iteration_and_reread(self, tmp_path, samples):
-        """The first pass decodes checksum-verified in-memory bytes, later
-        passes decode from the path; both must yield the same samples, and
-        a caller mutating a decoded sample must not change the next pass."""
+        """The first pass decodes checksum-verified bytes, later passes
+        re-read the bytes without the hash; both must yield the same
+        samples, and a caller mutating a decoded sample must not change the
+        next pass."""
         store = str(tmp_path / "store")
         with ShardedDatasetWriter(store, shard_size=2) as writer:
             for sample in samples:
@@ -302,6 +304,39 @@ class TestBinaryPayload:
             json.dump(manifest, handle)
         with pytest.raises(ValueError, match="truncated or corrupted"):
             list(ShardedDatasetReader(store))
+
+    @pytest.mark.parametrize("kind", ["compressed", "object"])
+    def test_hand_written_shard_members_are_refused(self, tmp_path, samples,
+                                                    kind):
+        """The decoder reads members straight from the shard's bytes, so a
+        shard with a compressed member, or with an object array that only
+        pickle could read, is refused with an error naming shard and member
+        (its checksum is kept consistent, so only the decoder can tell)."""
+        store = str(tmp_path / "store")
+        with ShardedDatasetWriter(store, shard_size=4) as writer:
+            for sample in samples:
+                writer.write(sample)
+        manifest_path = os.path.join(store, MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        first = manifest["shards"][0]
+        shard_path = os.path.join(store, first["name"])
+        with np.load(shard_path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        if kind == "compressed":
+            np.savez_compressed(shard_path, **arrays)
+            member, problem = "meta.npy", "compressed"
+        else:
+            arrays["s00001.delays"] = np.array([0.5, "x"], dtype=object)
+            np.savez(shard_path, **arrays)
+            member, problem = "s00001.delays.npy", "object array"
+        first["sha256"] = file_sha256(shard_path)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValueError, match=problem) as excinfo:
+            list(ShardedDatasetReader(store))
+        assert first["name"] in str(excinfo.value)
+        assert member in str(excinfo.value)
 
     def test_save_dataset_binary_round_trips(self, tmp_path, samples,
                                              normalizer):

@@ -12,7 +12,10 @@ closed-form VJP.  That VJP is held against
   gradient must agree within rounding on the same spec;
 * structural edge cases the model planner produces: a step whose mask
   column is entirely invalid, a single-path bucket, and ragged buckets
-  where the trailing steps keep only one path alive.
+  where the trailing steps keep only one path alive;
+* the live prefix: the spec orders the paths longest-lived first and
+  each step covers only the paths valid at it or later, including a path
+  with a hole inside that prefix and a path with no valid step at all.
 
 The kernel's in-place sigmoid must match the branch-free ``np.where``
 form to rounding without a floating-point exception at extreme inputs,
@@ -75,6 +78,12 @@ MASK_WITH_GAP = np.array([[1, 0, 1, 1],
                           [1, 0, 0, 0],
                           [1, 0, 1, 0]], dtype=np.float64)
 
+#: Path 0 is never valid and path 1 skips step 1 while still live (it is
+#: valid again at step 2): the spec orders them [2, 1, 0].
+MASK_WITH_HOLE = np.array([[0, 0, 0, 0],
+                           [1, 0, 1, 0],
+                           [1, 1, 1, 1]], dtype=np.float64)
+
 
 def _scatter_spec(mask: np.ndarray) -> ScanScatter:
     """One emission per valid (path, step) entry into a fixed segment."""
@@ -91,6 +100,7 @@ def _scatter_spec(mask: np.ndarray) -> ScanScatter:
 
 SCATTER = _scatter_spec(MASK)
 SCATTER_WITH_GAP = _scatter_spec(MASK_WITH_GAP)
+SCATTER_WITH_HOLE = _scatter_spec(MASK_WITH_HOLE)
 
 
 def _make_cell_factory(cell_cls, hidden: int):
@@ -198,6 +208,25 @@ def test_compiled_scan_gradcheck_all_invalid_step(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_compiled_scan_gradcheck_hole_and_never_valid_path(dtype):
+    """A path invalid at a step inside its live prefix keeps its state
+    through that step, and a path never valid is never touched."""
+    spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK_WITH_HOLE,
+                             SCATTER_WITH_HOLE)
+    assert spec.steps[1].invalid_mask is not None
+
+    def forward(cell, source, initial):
+        aggregated, final = scan_rnn(cell, (source,), STEP_SOURCES, STEP_ROWS,
+                                     MASK_WITH_HOLE, initial_state=initial,
+                                     scatter=SCATTER_WITH_HOLE, compiled=spec)
+        return F.concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
+
+    module_gradcheck(_make_cell_factory(GRUCell, 3),
+                     [_source_array(), _initial_state(GRUCell, 3)],
+                     forward=forward, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_compiled_scan_gradcheck_single_path_bucket(dtype):
     """A bucket holding a single path (the planner's smallest bucket)."""
     step_rows = STEP_ROWS[:1]
@@ -245,7 +274,8 @@ def _run_both_modes(cell_cls, hidden, step_sources, step_rows, mask, scatter):
 @pytest.mark.parametrize("mask,scatter", [
     (MASK, SCATTER),
     (MASK_WITH_GAP, SCATTER_WITH_GAP),
-], ids=["ragged", "all-invalid-step"])
+    (MASK_WITH_HOLE, SCATTER_WITH_HOLE),
+], ids=["ragged", "all-invalid-step", "hole-and-never-valid"])
 @pytest.mark.parametrize("cell_cls,hidden", [(GRUCell, 3)])
 def test_compiled_matches_interpreted(cell_cls, hidden, mask, scatter):
     """Compiled forward values and all gradients match the interpreted scan."""
@@ -302,6 +332,84 @@ def test_compiled_scan_streams_under_no_grad():
         scatter=SCATTER, compiled=spec)
     np.testing.assert_allclose(aggregated.data, reference_agg.data, atol=1e-12)
     np.testing.assert_allclose(final.data, reference_final.data, atol=1e-12)
+
+
+# --------------------------------------------------------------------- #
+# The live prefix
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("mask,order", [
+    (MASK, [0, 2, 1]),
+    (MASK_WITH_GAP, [0, 2, 1]),
+    (MASK_WITH_HOLE, [2, 1, 0]),
+], ids=["ragged", "all-invalid-step", "hole-and-never-valid"])
+def test_spec_orders_paths_longest_lived_first(mask, order):
+    """Paths are ordered by their last valid step, longest-lived first, and
+    each step's ``live`` counts the paths valid at that step or later."""
+    spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, mask)
+    np.testing.assert_array_equal(spec.order, order)
+    np.testing.assert_array_equal(spec.order[spec.inverse], np.arange(NUM_PATHS))
+    np.testing.assert_array_equal(spec.inverse[spec.order], np.arange(NUM_PATHS))
+    valid = mask > 0
+    for step, plan in enumerate(spec.steps):
+        assert plan.live == int(valid[:, step:].any(axis=1).sum())
+        assert plan.valid_count == int(valid[:, step].sum())
+        if plan.valid_count:
+            # The prefix holds every valid path and reads their rows.
+            assert valid[spec.order[plan.live:], step].sum() == 0
+            np.testing.assert_array_equal(
+                plan.rows, STEP_ROWS[spec.order[:plan.live], step])
+
+
+def test_never_valid_path_keeps_its_state_and_gradient():
+    """A path with no valid step leaves the scan as it entered: its final
+    state is its initial state, and its gradient passes through unchanged."""
+    kernel = compile_step_kernel(_make_cell_factory(GRUCell, 3)())
+    spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK_WITH_HOLE,
+                             SCATTER_WITH_HOLE)
+    initial_array = _initial_state(GRUCell, 3)
+    source = Tensor(_source_array(), requires_grad=True)
+    initial = Tensor(initial_array, requires_grad=True)
+    aggregated, final = run_compiled_scan(kernel, (source,), initial, spec,
+                                          SCATTER_WITH_HOLE)
+    np.testing.assert_array_equal(final.data[0], initial_array[0])
+    upstream = np.random.default_rng(31).normal(size=final.shape)
+    ((final * upstream).sum() + aggregated.sum()).backward()
+    np.testing.assert_array_equal(initial.grad[0], upstream[0])
+    assert np.all(initial.grad[1:] != upstream[1:])
+
+
+@pytest.mark.parametrize("mask,scatter", [
+    (MASK, SCATTER),
+    (MASK_WITH_GAP, SCATTER_WITH_GAP),
+    (MASK_WITH_HOLE, SCATTER_WITH_HOLE),
+], ids=["ragged", "all-invalid-step", "hole-and-never-valid"])
+def test_no_grad_forward_equals_grad_forward_bitwise(mask, scatter):
+    """Inference double-buffers its live prefix through scratch arrays and
+    training keeps a checkpoint per step; the outputs are the same bits."""
+    cell = _make_cell_factory(GRUCell, 3)()
+    spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, mask, scatter)
+    source = Tensor(_source_array(), requires_grad=True)
+    initial = Tensor(_initial_state(GRUCell, 3), requires_grad=True)
+    with no_grad():
+        inferred = scan_rnn(cell, (source,), STEP_SOURCES, STEP_ROWS, mask,
+                            initial_state=initial, scatter=scatter,
+                            compiled=spec)
+    trained = scan_rnn(cell, (source,), STEP_SOURCES, STEP_ROWS, mask,
+                       initial_state=initial, scatter=scatter, compiled=spec)
+    assert trained[1].requires_grad and not inferred[1].requires_grad
+    for computed, reference in zip(inferred, trained):
+        np.testing.assert_array_equal(computed.data, reference.data)
+
+
+def test_scatter_rows_outside_the_live_prefix_are_rejected():
+    """The executor holds only the live prefix, so an emission from a path
+    that has no valid step left is refused when the spec is compiled."""
+    scatter = ScanScatter(
+        rows=[np.array([0], dtype=np.int64)] + [None] * (NUM_STEPS - 1),
+        segment_ids=[np.array([0], dtype=np.int64)] + [None] * (NUM_STEPS - 1),
+        num_segments=NUM_SEGMENTS)
+    with pytest.raises(ValueError, match="later one"):
+        compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK_WITH_HOLE, scatter)
 
 
 # --------------------------------------------------------------------- #

@@ -5,6 +5,8 @@ leave no partial shard under the final name)."""
 
 import json
 import os
+import struct
+import zipfile
 
 import pytest
 
@@ -77,6 +79,38 @@ def test_verification_is_per_reader_and_once_per_shard(reference_store):
     relaxed = ShardedDatasetReader(reference_store, verify_checksums=False)
     list(relaxed)
     assert not relaxed._verified_shards
+
+
+def _flip_member_byte(shard_path: str, member: str) -> None:
+    """Flip the last byte of ``member``'s data inside an npz shard."""
+    with zipfile.ZipFile(shard_path) as archive:
+        info = archive.getinfo(member)
+    with open(shard_path, "r+b") as handle:
+        handle.seek(info.header_offset + 26)
+        name_length, extra_length = struct.unpack("<HH", handle.read(4))
+        handle.seek(info.header_offset + 30 + name_length + extra_length
+                    + info.file_size - 1)
+        byte = handle.read(1)[0]
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte ^ 0xFF]))
+
+
+@pytest.mark.parametrize("verify", [True, False],
+                         ids=["after-verified-pass", "unverified"])
+def test_member_corrupted_between_passes_is_refused(tmp_path, verify):
+    """Each pass re-reads the shard's bytes, but only the reader's first
+    touch hashes them: a member rotting after that (or under
+    ``verify_checksums=False``) must fail its CRC-32 on the next pass, with
+    an error naming the shard and the member."""
+    path = str(tmp_path / "store")
+    assert run_job(small_spec(), path, workers=1)["complete"]
+    reader = ShardedDatasetReader(path, verify_checksums=verify)
+    assert len(list(reader)) == 6
+    _flip_member_byte(os.path.join(path, "unit-000001.npz"), "s00001.delays.npy")
+    with pytest.raises(ValueError, match="CRC-32") as excinfo:
+        list(reader)
+    message = str(excinfo.value)
+    assert "unit-000001.npz" in message and "s00001.delays.npy" in message
 
 
 def test_resume_sets_aside_corrupt_shard_and_regenerates_exactly_it(
