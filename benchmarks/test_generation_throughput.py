@@ -19,17 +19,28 @@ is printed instead — there is nothing to scale onto.
 The winning run's ``manifest.json`` — the provenance catalog — is copied to
 ``.benchmarks/BENCH_generation_catalog.json`` so CI archives exactly
 which job, seed paths and configs produced the benchmarked samples.
+
+The ``analytic_generation`` row times the other backend, the M/M/1/K
+labeller that stands in for the paper's simulated volume: in-process
+``generate_dataset`` on GEANT2, as many samples as perfbench's ``train``
+set-up labels, with the SHA-256 of the labels (see
+:func:`tests.support.labels_digest`) so a faster labeller is seen to
+produce the same samples.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import statistics
 import time
 
 import pytest
 
 from repro.datasets.factory import DatasetJobSpec, run_job
+from repro.datasets.generator import DatasetConfig, generate_dataset
+from repro.topology import geant2_topology
+from tests.support import labels_digest
 
 
 SCALING_BAR = 1.2
@@ -37,6 +48,9 @@ SCALING_BAR = 1.2
 SAMPLES = 16
 UNIT_SIZE = 2
 SIMULATION_DURATION = 2.0
+
+ANALYTIC_SAMPLES = 24
+ANALYTIC_REPEATS = 5
 
 RESULTS: dict = {}
 
@@ -108,3 +122,27 @@ def test_generation_events_per_sec(tmp_path_factory, bench_results_dir):
         # Nothing to scale onto: the committed baseline host has 1 CPU.
         print(f"  NOTE: worker-scaling bar (≥ {SCALING_BAR}x at 4 workers) "
               f"not asserted — host has {cpu_count} CPU(s)")
+
+
+def test_analytic_generation_samples_per_sec():
+    """In-process analytic GEANT2 samples/sec, median of a few repeats."""
+    topology = geant2_topology()
+    config = DatasetConfig(num_samples=ANALYTIC_SAMPLES, seed=0)
+    walls, digests = [], set()
+    for _ in range(ANALYTIC_REPEATS):
+        start = time.perf_counter()
+        samples = generate_dataset(topology, config)
+        walls.append(time.perf_counter() - start)
+        digests.add(labels_digest(samples))
+    # Seeded: every repeat labels the same samples.
+    assert len(digests) == 1
+    wall = statistics.median(walls)
+    RESULTS["analytic_generation"] = {
+        "topology": "geant2", "samples": ANALYTIC_SAMPLES, "seed": config.seed,
+        "backend": "analytic", "repeats": ANALYTIC_REPEATS,
+        "wall_seconds": wall, "samples_per_sec": ANALYTIC_SAMPLES / wall,
+        "labels_digest": digests.pop(),
+    }
+    print(f"\nanalytic generation, {ANALYTIC_SAMPLES} GEANT2 samples in-process: "
+          f"{wall:.3f} s, {ANALYTIC_SAMPLES / wall:.1f} samples/s "
+          f"(median of {ANALYTIC_REPEATS})")

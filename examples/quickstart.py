@@ -44,8 +44,8 @@ def main() -> None:
     #    dtype="float32" runs the whole autograd stack in single precision —
     #    about half the training memory and noticeably faster on large merged
     #    batches, with predictions matching float64 to ~4 decimals (drop the
-    #    argument, or pass "float64", for full precision; the repro-net CLI
-    #    exposes the same switch as --dtype).
+    #    argument, or pass "float64", for full precision; the CLI,
+    #    python -m repro.cli, exposes the same switch as --dtype).
     model = ExtendedRouteNet(RouteNetConfig(
         link_state_dim=16, path_state_dim=16, node_state_dim=16,
         message_passing_iterations=4, seed=1, dtype="float32"))

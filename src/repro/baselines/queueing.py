@@ -15,11 +15,12 @@ Per-path delay is the sum of per-link sojourn times plus propagation delays.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.routing.scheme import RoutingScheme
+from repro.routing.tables import path_sums
 from repro.topology.graph import Topology
 from repro.traffic.matrix import TrafficMatrix
 
@@ -37,6 +38,10 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # Single-queue formulas
 # ---------------------------------------------------------------------- #
+#: ``np.isclose(rho, 1.0)`` at its default tolerances is
+#: ``abs(rho - 1.0) <= atol + rtol * 1.0``; the formulas test it as scalars.
+_RHO_ONE_TOLERANCE = 1e-08 + 1e-05 * 1.0
+
 def mm1_waiting_time(arrival_rate: float, service_rate: float) -> float:
     """Mean sojourn time (waiting + service) of an M/M/1 queue.
 
@@ -58,7 +63,7 @@ def mm1k_blocking_probability(arrival_rate: float, service_rate: float, capacity
     if arrival_rate == 0:
         return 0.0
     rho = arrival_rate / service_rate
-    if np.isclose(rho, 1.0):
+    if abs(rho - 1.0) <= _RHO_ONE_TOLERANCE:
         return 1.0 / (capacity + 1)
     return float((1 - rho) * rho ** capacity / (1 - rho ** (capacity + 1)))
 
@@ -72,7 +77,7 @@ def mm1k_mean_queue_length(arrival_rate: float, service_rate: float, capacity: i
     if arrival_rate == 0:
         return 0.0
     rho = arrival_rate / service_rate
-    if np.isclose(rho, 1.0):
+    if abs(rho - 1.0) <= _RHO_ONE_TOLERANCE:
         return capacity / 2.0
     k = capacity
     return float(rho / (1 - rho) - (k + 1) * rho ** (k + 1) / (1 - rho ** (k + 1)))
@@ -116,36 +121,40 @@ class QueueingNetworkModel:
     # -- public API ------------------------------------------------------ #
     def predict(self, topology: Topology, routing: RoutingScheme,
                 traffic: TrafficMatrix) -> QueueingPrediction:
-        """Predict per-pair delay and loss for a scenario."""
+        """Predict per-pair delay and loss for a scenario.
+
+        Every path is processed at once over the routing's link matrix.
+        Sums and products keep the order of a loop over pairs and hops: a
+        flow is thinned by its hops' survival factors multiplied left to
+        right, and link loads add up pair by pair, hop by hop.  So the
+        results equal that loop's to the last bit.
+        """
         if traffic.num_nodes != topology.num_nodes:
             raise ValueError("traffic matrix size does not match the topology")
         pair_order = routing.pairs()
         num_links = topology.num_links
-        service_pps = np.array([spec.capacity / self.mean_packet_size_bits
-                                for spec in topology.links()])
+        links = topology.links()
+        service_pps = np.array([spec.capacity / self.mean_packet_size_bits for spec in links])
         queue_capacities = np.array(
-            [topology.node_spec(spec.source).queue_size + 1 for spec in topology.links()],
-            dtype=int)
-        propagation = np.array([spec.propagation_delay for spec in topology.links()])
+            [topology.node_spec(spec.source).queue_size + 1 for spec in links], dtype=int)
+        propagation = np.array([spec.propagation_delay for spec in links])
 
-        # Offered load per link in packets/s, thinned hop-by-hop by upstream loss.
-        arrival_pps = np.zeros(num_links)
-        per_pair_offered: Dict[Tuple[int, int], List[int]] = {}
-        for pair in pair_order:
-            per_pair_offered[pair] = routing.link_path(*pair)
+        # matrix[p, h] is the link at hop h of path p, -1 past its end.
+        matrix = routing.link_matrix()
+        hops = matrix >= 0
+        rates = traffic.as_vector(pair_order) / self.mean_packet_size_bits
+        # Pairs with rate <= 0 offer nothing (a NaN rate still does).
+        offered = hops & ~(rates <= 0)[:, None]
+        offered_links = matrix[offered]
 
         # Iterate the fixed point: blocking depends on arrivals, arrivals on blocking.
         blocking = np.zeros(num_links)
         for _ in range(self._fixed_point_iterations()):
-            arrival_pps[:] = 0.0
-            for pair in pair_order:
-                rate = traffic.demand(*pair) / self.mean_packet_size_bits
-                if rate <= 0:
-                    continue
-                surviving = rate
-                for link in per_pair_offered[pair]:
-                    arrival_pps[link] += surviving
-                    surviving *= (1.0 - blocking[link])
+            passing = np.append(1.0 - blocking, 1.0)[matrix]
+            # Packets/s reaching each hop, thinned by upstream loss.
+            surviving = np.cumprod(np.column_stack([rates, passing]), axis=1)[:, :-1]
+            arrival_pps = np.bincount(offered_links, weights=surviving[offered],
+                                      minlength=num_links)
             new_blocking = np.array([
                 self._link_metrics(arrival_pps[l], service_pps[l], queue_capacities[l])[1]
                 for l in range(num_links)
@@ -160,13 +169,15 @@ class QueueingNetworkModel:
             for l in range(num_links)
         ])
 
-        delays = np.zeros(len(pair_order))
-        losses = np.zeros(len(pair_order))
-        for row, pair in enumerate(pair_order):
-            links = per_pair_offered[pair]
-            delays[row] = float(np.sum(sojourn[links]) + np.sum(propagation[links]))
-            survival = float(np.prod(1.0 - blocking[links]))
-            losses[row] = 1.0 - survival
+        delays = path_sums(routing, sojourn) + path_sums(routing, propagation)
+        # A path's delay is np.sum over its links.  path_sums matches it up to
+        # 7 terms; np.sum adds 8 or more pairwise, so those rows use it.
+        lengths = np.count_nonzero(hops, axis=1)
+        for row in np.flatnonzero(lengths >= 8):
+            path = matrix[row, :lengths[row]]
+            delays[row] = np.sum(sojourn[path]) + np.sum(propagation[path])
+        # np.prod multiplies left to right at every length.
+        losses = 1.0 - np.prod(np.append(1.0 - blocking, 1.0)[matrix], axis=1)
 
         utilizations = np.minimum(arrival_pps / service_pps, 1.0)
         return QueueingPrediction(pair_order=pair_order, delays=delays,

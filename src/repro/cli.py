@@ -1,14 +1,15 @@
 """Command-line interface: dataset generation, training and evaluation.
 
-Installed as the ``repro-net`` console script::
+Run as a module, with ``src`` on ``PYTHONPATH`` (no console script is
+installed)::
 
-    repro-net generate --topology geant2 --samples 50 --output data/geant2
-    repro-net generate --topology geant2 --samples 5000 --workers 4 \\
-                       --unit-size 64 --output data/geant2-big
-    repro-net status   --dataset data/geant2
-    repro-net train    --dataset data/geant2 --model extended --output models/ext
-    repro-net evaluate --dataset data/geant2 --model extended --weights models/ext
-    repro-net fig2     --train-samples 40 --eval-samples 15 --epochs 10
+    python -m repro.cli generate --topology geant2 --samples 50 --output data/geant2
+    python -m repro.cli generate --topology geant2 --samples 5000 --workers 4 \\
+                                 --unit-size 64 --output data/geant2-big
+    python -m repro.cli status   --dataset data/geant2
+    python -m repro.cli train    --dataset data/geant2 --model extended --output models/ext
+    python -m repro.cli evaluate --dataset data/geant2 --model extended --weights models/ext
+    python -m repro.cli fig2     --train-samples 40 --eval-samples 15 --epochs 10
 
 ``generate`` always runs the dataset factory
 (:func:`repro.datasets.factory.run_job`): it writes a catalogued format-3
@@ -50,7 +51,7 @@ _MODELS = {
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
-        prog="repro-net",
+        prog="python -m repro.cli",
         description="Reproduction of 'Towards more realistic network models based on GNNs'")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -215,7 +216,7 @@ def _command_generate(args: argparse.Namespace) -> int:
     print(format_job_status(status))
     if status["quarantined_units"]:
         print(f"ERROR: {len(status['quarantined_units'])} unit(s) quarantined "
-              "after exhausting retries; inspect with 'repro-net status' and "
+              "after exhausting retries; inspect with 'python -m repro.cli status' and "
               "re-run with --resume once fixed", file=sys.stderr)
         return 1
     return 0
@@ -344,7 +345,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``repro-net`` console script."""
+    """Entry point of ``python -m repro.cli``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     return _COMMANDS[args.command](args)

@@ -24,6 +24,7 @@ import numpy as np
 from repro.baselines.queueing import MM1KModel
 from repro.datasets.sample import Sample
 from repro.routing.scheme import RoutingScheme
+from repro.routing.tables import path_sums
 from repro.topology.graph import Topology
 from repro.traffic.matrix import TrafficMatrix
 
@@ -68,11 +69,9 @@ class AnalyticGroundTruth:
             delays = delays * noise
         # Jitter proxy: queueing variability grows with the queueing part of the
         # delay; use half the queueing delay as a crude but monotone surrogate.
-        service_floor = np.array([
-            sum(self.mean_packet_size_bits / topology.link_by_index(l).capacity
-                + topology.link_by_index(l).propagation_delay
-                for l in routing.link_path(*pair))
-            for pair in routing.pairs()
+        service_floor = path_sums(routing, [
+            self.mean_packet_size_bits / spec.capacity + spec.propagation_delay
+            for spec in topology.links()
         ])
         jitters = np.maximum(delays - service_floor, 0.0) * 0.5
         return Sample(

@@ -34,8 +34,9 @@ The ``shards`` index lists completed units in unit order, so any
 whole training stack — reads a factory store unchanged, with a
 deterministic sample order regardless of worker count.
 
-**CLI** — ``repro-net generate`` (``--workers N``, ``--resume``) drives
-:func:`run_job` and ``repro-net status`` prints :func:`job_status`.
+**CLI** — ``python -m repro.cli generate`` (``--workers N``, ``--resume``)
+drives :func:`run_job` and ``python -m repro.cli status`` prints
+:func:`job_status`.
 
 **Fault tolerance** — the farm is supervised (see :mod:`repro.supervision`):
 a worker that dies or hangs past its task timeout is reaped and respawned
@@ -898,7 +899,7 @@ def job_status(path: str) -> dict:
 
 
 def format_job_status(status: dict) -> str:
-    """Human-readable ``repro-net status`` report."""
+    """Human-readable ``python -m repro.cli status`` report."""
     lines = [
         f"factory store       : {status['path']}",
         f"units done/total    : {status['done_units']}/{status['total_units']}"

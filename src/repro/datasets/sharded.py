@@ -590,7 +590,7 @@ class ShardedDatasetReader:
                 f"shard '{shard_path}' failed checksum verification: "
                 f"manifest records sha256 {expected} but the file hashes to "
                 f"{actual} — the shard was corrupted after commit; "
-                "regenerate it (factory stores: `repro-net generate "
+                "regenerate it (factory stores: `python -m repro.cli generate "
                 "--resume` quarantines and re-executes the unit)")
         self._verified_shards.add(shard["name"])
         return blob

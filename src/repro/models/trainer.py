@@ -340,8 +340,8 @@ class RouteNetTrainer:
                 raise ValueError(
                     f"'{dataset_path}' is not a sharded dataset store; "
                     "out-of-core training streams shards — write one with "
-                    "save_dataset(), a ShardedDatasetWriter or 'repro-net "
-                    "generate', or load_dataset() it and pass train_samples "
+                    "save_dataset(), a ShardedDatasetWriter or 'python -m "
+                    "repro.cli generate', or load_dataset() it and pass train_samples "
                     "instead")
             reader = ShardedDatasetReader(dataset_path)
             source, samples_per_epoch = f"dataset store '{dataset_path}'", len(reader)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.topology.graph import Topology
 
@@ -29,6 +32,7 @@ class RoutingScheme:
                  validate: bool = True) -> None:
         self.topology = topology
         self._paths: Dict[PathKey, List[int]] = {}
+        self._link_matrix: Optional[np.ndarray] = None
         if validate:
             for (source, destination), path in paths.items():
                 self._validate_path(int(source), int(destination), list(path))
@@ -86,7 +90,26 @@ class RoutingScheme:
 
     def link_paths(self) -> List[List[int]]:
         """Link-index paths for every pair, in :meth:`pairs` order."""
-        return [self.link_path(source, destination) for source, destination in self.pairs()]
+        return [row[row >= 0].tolist() for row in self.link_matrix()]
+
+    def link_matrix(self) -> np.ndarray:
+        """Link-index paths as one read-only ``(num_paths, max_links)`` array.
+
+        Row ``p`` holds the links of the ``p``-th pair in :meth:`pairs`
+        order, then ``-1`` up to the longest path's length, so a per-link
+        array with one extra trailing entry, indexed by the matrix, reads
+        that entry at the padding.  Built on first use and kept, since a
+        scheme's paths never change.
+        """
+        if self._link_matrix is None:
+            paths = [self.topology.path_links(self._paths[pair]) for pair in self.pairs()]
+            lengths = np.array([len(path) for path in paths], dtype=np.int64)
+            matrix = np.full((len(paths), int(lengths.max(initial=0))), -1, dtype=np.int64)
+            matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = np.fromiter(
+                itertools.chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum()))
+            matrix.flags.writeable = False
+            self._link_matrix = matrix
+        return self._link_matrix
 
     def node_paths(self) -> List[List[int]]:
         """Node paths for every pair, in :meth:`pairs` order."""

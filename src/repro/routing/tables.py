@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.routing.scheme import RoutingScheme
 
-__all__ = ["routing_matrix", "next_hop_tables"]
+__all__ = ["routing_matrix", "path_sums", "next_hop_tables"]
 
 
 def routing_matrix(scheme: RoutingScheme) -> np.ndarray:
@@ -19,12 +19,26 @@ def routing_matrix(scheme: RoutingScheme) -> np.ndarray:
     of analytic network models and is also handy for vectorised utilisation
     computations.
     """
-    num_paths = scheme.num_paths
-    num_links = scheme.topology.num_links
-    matrix = np.zeros((num_paths, num_links), dtype=np.int8)
-    for row, link_path in enumerate(scheme.link_paths()):
-        matrix[row, link_path] = 1
+    links = scheme.link_matrix()
+    rows, hops = np.nonzero(links >= 0)
+    matrix = np.zeros((scheme.num_paths, scheme.topology.num_links), dtype=np.int8)
+    matrix[rows, links[rows, hops]] = 1
     return matrix
+
+
+def path_sums(scheme: RoutingScheme, link_values: Sequence[float]) -> np.ndarray:
+    """Per-path sums of a per-link quantity, in :meth:`RoutingScheme.pairs` order.
+
+    Each path's terms are added from its first link to its last, one hop
+    column at a time, so every sum equals Python's ``sum`` over the path
+    to the last bit.  Below 8 terms ``np.sum`` also adds left to right and
+    gives the same sums, up to the sign of a zero.
+    """
+    values = np.append(np.asarray(link_values, dtype=np.float64), 0.0)[scheme.link_matrix()]
+    totals = np.zeros(values.shape[0])
+    for column in values.T:
+        totals += column
+    return totals
 
 
 def next_hop_tables(scheme: RoutingScheme) -> Dict[int, Dict[int, int]]:

@@ -8,6 +8,7 @@ re-importing the conftest under a second module name (pytest loads
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import pickle
 import warnings
 
@@ -18,7 +19,18 @@ import repro.models.trainer as trainer_module
 from repro.nn.parallel import _compute_gradient
 from repro.nn.tensor import get_default_dtype
 
-__all__ = ["float_tolerance", "in_process_groups", "replica_gradients"]
+__all__ = ["float_tolerance", "in_process_groups", "labels_digest", "replica_gradients"]
+
+
+def labels_digest(samples) -> str:
+    """SHA-256 over each sample's node paths and delay, jitter and loss bytes."""
+    digest = hashlib.sha256()
+    for sample in samples:
+        for pair, path in sample.routing.items():
+            digest.update(repr((pair, path)).encode())
+        for vector in (sample.delays, sample.jitters, sample.losses):
+            digest.update(vector.tobytes())
+    return digest.hexdigest()
 
 
 def float_tolerance(float64_tol: float = 1e-9, float32_tol: float = 1e-4) -> float:
