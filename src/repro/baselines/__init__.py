@@ -8,6 +8,10 @@ benchmarks can quantify that gap:
 * :class:`~repro.baselines.queueing.MM1Model` — infinite-buffer M/M/1 links.
 * :class:`~repro.baselines.queueing.MM1KModel` — finite-buffer M/M/1/K links
   with loss-aware thinning of flows along their paths.
+
+The M/M/1/K model also labels the analytic datasets
+(:mod:`repro.datasets.analytic`), and both models are the queueing-theory
+baselines of ``benchmarks/test_baseline_queueing_theory.py``.
 """
 
 from repro.baselines.queueing import (
@@ -18,7 +22,6 @@ from repro.baselines.queueing import (
     mm1k_blocking_probability,
     mm1k_mean_queue_length,
 )
-from repro.baselines.feature_regression import PathFeatureExtractor, RidgeRegressionBaseline
 
 __all__ = [
     "QueueingNetworkModel",
@@ -27,6 +30,4 @@ __all__ = [
     "mm1_waiting_time",
     "mm1k_blocking_probability",
     "mm1k_mean_queue_length",
-    "PathFeatureExtractor",
-    "RidgeRegressionBaseline",
 ]

@@ -113,6 +113,11 @@ class QueueingNetworkModel:
         self.mean_packet_size_bits = mean_packet_size_bits
 
     # -- hooks implemented by subclasses --------------------------------- #
+    def _link_blocking(self, arrival_pps: float, service_pps: float,
+                       queue_capacity: int) -> float:
+        """Return one link's blocking probability: the fixed point's hook."""
+        raise NotImplementedError
+
     def _link_metrics(self, arrival_pps: float, service_pps: float,
                       queue_capacity: int) -> Tuple[float, float]:
         """Return ``(sojourn_seconds, blocking_probability)`` for one link."""
@@ -156,7 +161,7 @@ class QueueingNetworkModel:
             arrival_pps = np.bincount(offered_links, weights=surviving[offered],
                                       minlength=num_links)
             new_blocking = np.array([
-                self._link_metrics(arrival_pps[l], service_pps[l], queue_capacities[l])[1]
+                self._link_blocking(arrival_pps[l], service_pps[l], queue_capacities[l])
                 for l in range(num_links)
             ])
             if np.allclose(new_blocking, blocking, atol=1e-9):
@@ -195,6 +200,10 @@ class QueueingNetworkModel:
 class MM1Model(QueueingNetworkModel):
     """Infinite-buffer M/M/1 network model (ignores queue sizes)."""
 
+    def _link_blocking(self, arrival_pps: float, service_pps: float,
+                       queue_capacity: int) -> float:
+        return 0.0
+
     def _link_metrics(self, arrival_pps: float, service_pps: float,
                       queue_capacity: int) -> Tuple[float, float]:
         return mm1_waiting_time(arrival_pps, service_pps), 0.0
@@ -212,6 +221,10 @@ class MM1KModel(QueueingNetworkModel):
 
     def _fixed_point_iterations(self) -> int:
         return self._iterations
+
+    def _link_blocking(self, arrival_pps: float, service_pps: float,
+                       queue_capacity: int) -> float:
+        return mm1k_blocking_probability(arrival_pps, service_pps, queue_capacity)
 
     def _link_metrics(self, arrival_pps: float, service_pps: float,
                       queue_capacity: int) -> Tuple[float, float]:

@@ -14,6 +14,9 @@ __all__ = ["RouteNetConfig"]
 class RouteNetConfig:
     """Architecture hyper-parameters.
 
+    The cells are GRUs, and the readout has ReLU hidden layers and a linear
+    output (the regression targets are z-scored).
+
     Attributes
     ----------
     link_state_dim / path_state_dim / node_state_dim:
@@ -24,13 +27,6 @@ class RouteNetConfig:
         Number of rounds ``T`` of the iterative message passing.
     readout_hidden_sizes:
         Hidden layer widths of the readout feed-forward network.
-    readout_activation:
-        Hidden activation of the readout network.
-    output_positive:
-        When True the readout ends in a softplus so predicted (normalised)
-        delays can still take any positive value after denormalisation;
-        set to False to allow unconstrained outputs (the default, since the
-        regression targets are z-scored).
     dtype:
         Floating precision of parameters and hidden states: ``"float32"``,
         ``"float64"`` or ``None`` (use the process default, see
@@ -43,8 +39,7 @@ class RouteNetConfig:
         hop a fused raw-NumPy step over presorted index arrays, backward via
         closed-form VJPs instead of a per-step tape.  ``"stream"`` is the
         interpreted checkpointed streaming scan (same O(paths·dim) live
-        memory, per-step autograd subgraphs); ``"compiled"`` falls back to
-        it for cells without a compiled kernel.
+        memory, per-step autograd subgraphs).
     seed:
         Seed for weight initialisation.
     """
@@ -54,8 +49,6 @@ class RouteNetConfig:
     node_state_dim: int = 16
     message_passing_iterations: int = 4
     readout_hidden_sizes: Sequence[int] = (32, 16)
-    readout_activation: str = "relu"
-    output_positive: bool = False
     dtype: Optional[str] = None
     scan_mode: str = "compiled"
     seed: int = 0

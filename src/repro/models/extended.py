@@ -71,8 +71,6 @@ class ExtendedRouteNet(Module):
                                        self.config.node_state_dim, rng=rng)
             self.readout = ReadoutMLP(self.config.path_state_dim,
                                       hidden_sizes=self.config.readout_hidden_sizes,
-                                      activation=self.config.readout_activation,
-                                      output_positive=self.config.output_positive,
                                       rng=rng)
 
     # ------------------------------------------------------------------ #

@@ -17,19 +17,16 @@ class ReadoutMLP(Module):
     """Maps final path states to scalar per-path predictions (delay).
 
     As in both the original and the extended RouteNet, the readout is a
-    small fully connected network applied independently to every path state;
-    its weights are shared across paths and learned jointly with the message
-    passing functions.
+    small fully connected network applied independently to every path state:
+    ReLU hidden layers and a linear output.  Its weights are shared across
+    paths and learned jointly with the message passing functions.
     """
 
     def __init__(self, path_state_dim: int, hidden_sizes: Sequence[int] = (32, 16),
-                 activation: str = "relu", output_positive: bool = False,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        output_activation = "softplus" if output_positive else None
         self.network = MLP(path_state_dim, list(hidden_sizes), 1,
-                           hidden_activation=activation,
-                           output_activation=output_activation,
+                           hidden_activation="relu", output_activation=None,
                            rng=rng)
 
     def forward(self, path_states: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ from repro.datasets.sample import Sample
 from repro.datasets.sharded import ShardedDatasetReader, is_sharded_store
 from repro.datasets.tensorize import TensorizedSample, tensorize_sample
 from repro.nn import metrics as nn_metrics
-from repro.nn.losses import LOSSES
+from repro.nn.losses import mse_loss
 from repro.nn.module import Module
 from repro.nn.optimizers import Adam, clip_gradients_by_norm
 from repro.nn.parallel import _backward, make_gradient_executor, path_weighted_average
@@ -33,8 +33,10 @@ __all__ = ["TrainerConfig", "RouteNetTrainer", "evaluate_model"]
 class TrainerConfig:
     """Hyper-parameters of RouteNet training.
 
-    ``target`` selects which per-path metric the model regresses:
-    ``"delay"`` (the paper's Fig. 2 experiment), ``"jitter"`` or ``"loss"``.
+    Training minimises the mean squared error of the normalised targets
+    with Adam at a constant ``learning_rate``.  ``target`` selects which
+    per-path metric the model regresses: ``"delay"`` (the paper's Fig. 2
+    experiment), ``"jitter"`` or ``"loss"``.
 
     ``dtype`` selects the floating precision the samples are tensorised at
     ("float32", "float64" or ``None`` for the process default).  It should
@@ -105,7 +107,6 @@ class TrainerConfig:
 
     epochs: int = 20
     learning_rate: float = 0.001
-    loss: str = "mse"
     target: str = "delay"
     gradient_clip_norm: float = 1.0
     shuffle: bool = True
@@ -127,8 +128,6 @@ class TrainerConfig:
             raise ValueError("batch_size must be at least 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {', '.join(map(repr, LOSSES))}")
         if self.target not in ("delay", "jitter", "loss"):
             raise ValueError("target must be 'delay', 'jitter' or 'loss'")
         if self.gradient_clip_norm < 0:
@@ -214,7 +213,6 @@ class RouteNetTrainer:
         """
         if not samples:
             raise ValueError("evaluate_loss needs at least one sample")
-        loss_function = LOSSES[self.config.loss]
         total = 0.0
         weight = 0
         with no_grad():
@@ -224,7 +222,7 @@ class RouteNetTrainer:
                 # model is not promoted back to float64 by the loss.
                 targets = Tensor(np.asarray(sample.targets,
                                             dtype=predictions.data.dtype))
-                loss = float(loss_function(predictions, targets).item())
+                loss = float(mse_loss(predictions, targets).item())
                 total += loss * sample.num_paths
                 weight += sample.num_paths
         return total / weight
@@ -258,7 +256,7 @@ class RouteNetTrainer:
             # about 8% of ``train``'s samples/s on a 2-CPU host.
             results = []
             for batch in batches:
-                graph = _backward(self.model, batch, self.config.loss)
+                graph = _backward(self.model, batch)
                 results.append((self.model.gradients_vector(), float(graph.item()),
                                 int(batch.num_paths)))
         else:
@@ -373,7 +371,6 @@ class RouteNetTrainer:
             try:
                 pool = make_gradient_executor(
                     self.model, self.config.num_workers,
-                    loss=self.config.loss,
                     task_timeout=self.config.task_timeout)
             except Exception as error:  # noqa: BLE001 - degrade, don't die
                 # Pool start-up failure (fork refused, pipe limits, a worker
@@ -548,20 +545,23 @@ class RouteNetTrainer:
                 f"cannot load into '{type(self.optimizer).__name__}'")
         # Settings that silently change what is being optimised must match;
         # epochs (each fit trains that many *more*), learning_rate (a
-        # deliberate fine-tuning knob; the schedule is re-derived from it),
+        # deliberate fine-tuning knob; the optimiser takes the current one),
         # task_timeout, prefetch_depth (a queue bound), seed (the restored
         # RNG state supersedes it) and log_every are free to differ, and
         # settings this version no longer has (``overlap``, a pipelining
         # switch, and ``parallel_backend``, an engine choice; neither ever
         # changed an update) are ignored.  stream_window must match because
-        # it decides streamed batch membership.
+        # it decides streamed batch membership.  ``loss`` is no longer a
+        # setting either, but it changed the objective: every run now
+        # trains on MSE, so only a checkpoint that recorded "mse" resumes.
         saved_config = metadata.get("trainer_config", {})
+        settings = dict(dataclasses.asdict(self.config), loss="mse")
         mismatched = {
-            field: (saved_config[field], getattr(self.config, field))
+            field: (saved_config[field], settings[field])
             for field in ("loss", "target", "dtype", "batch_size",
                           "bucket_by_length", "shuffle", "gradient_clip_norm",
                           "num_workers", "stream_window")
-            if field in saved_config and saved_config[field] != getattr(self.config, field)
+            if field in saved_config and saved_config[field] != settings[field]
         }
         if mismatched:
             details = ", ".join(f"{field}: saved={saved!r} current={current!r}"

@@ -8,17 +8,7 @@ import numpy as np
 
 from repro.nn.tensor import DTypeLike, resolve_dtype
 
-__all__ = [
-    "glorot_uniform",
-    "glorot_normal",
-    "he_uniform",
-    "he_normal",
-    "orthogonal",
-    "normal_init",
-    "uniform_init",
-    "zeros_init",
-    "ones_init",
-]
+__all__ = ["glorot_uniform", "orthogonal", "zeros_init"]
 
 
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -51,30 +41,6 @@ def glorot_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = 
     return _cast(_rng(rng).uniform(-limit, limit, size=shape), dtype)
 
 
-def glorot_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
-                  dtype: DTypeLike = None) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return _cast(_rng(rng).normal(0.0, std, size=shape), dtype)
-
-
-def he_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
-               dtype: DTypeLike = None) -> np.ndarray:
-    """He uniform initialisation (good default for ReLU nets)."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return _cast(_rng(rng).uniform(-limit, limit, size=shape), dtype)
-
-
-def he_normal(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
-              dtype: DTypeLike = None) -> np.ndarray:
-    """He normal initialisation."""
-    fan_in, _ = _fans(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return _cast(_rng(rng).normal(0.0, std, size=shape), dtype)
-
-
 def orthogonal(shape: Tuple[int, ...], gain: float = 1.0,
                rng: Optional[np.random.Generator] = None,
                dtype: DTypeLike = None) -> np.ndarray:
@@ -90,27 +56,7 @@ def orthogonal(shape: Tuple[int, ...], gain: float = 1.0,
     return _cast(gain * q.reshape(shape), dtype)
 
 
-def normal_init(shape: Tuple[int, ...], std: float = 0.05,
-                rng: Optional[np.random.Generator] = None,
-                dtype: DTypeLike = None) -> np.ndarray:
-    """Gaussian initialisation with standard deviation ``std``."""
-    return _cast(_rng(rng).normal(0.0, std, size=shape), dtype)
-
-
-def uniform_init(shape: Tuple[int, ...], limit: float = 0.05,
-                 rng: Optional[np.random.Generator] = None,
-                 dtype: DTypeLike = None) -> np.ndarray:
-    """Uniform initialisation in ``[-limit, limit]``."""
-    return _cast(_rng(rng).uniform(-limit, limit, size=shape), dtype)
-
-
 def zeros_init(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
                dtype: DTypeLike = None) -> np.ndarray:
     """All-zeros initialisation (used for biases)."""
     return np.zeros(shape, dtype=resolve_dtype(dtype))
-
-
-def ones_init(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None,
-              dtype: DTypeLike = None) -> np.ndarray:
-    """All-ones initialisation (used for normalisation gains)."""
-    return np.ones(shape, dtype=resolve_dtype(dtype))

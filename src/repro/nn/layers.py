@@ -1,4 +1,4 @@
-"""Feed-forward layers: dense, dropout, layer normalisation, embeddings."""
+"""Feed-forward layers: dense layers and the multi-layer perceptron."""
 
 from __future__ import annotations
 
@@ -6,12 +6,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.nn import functional as F
-from repro.nn.initializers import glorot_uniform, ones_init, zeros_init
+from repro.nn.initializers import glorot_uniform, zeros_init
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
 
-__all__ = ["Dense", "Sequential", "Dropout", "LayerNorm", "Embedding", "MLP", "get_activation"]
+__all__ = ["Dense", "Sequential", "MLP", "get_activation"]
 
 def identity(x: Tensor) -> Tensor:
     """The linear / no-op activation.
@@ -27,13 +26,7 @@ def identity(x: Tensor) -> Tensor:
 _ACTIVATIONS: dict = {
     None: identity,
     "linear": identity,
-    "relu": F.relu,
-    "tanh": F.tanh,
-    "sigmoid": F.sigmoid,
-    "softplus": F.softplus,
-    "selu": F.selu,
-    "elu": F.elu,
-    "leaky_relu": F.leaky_relu,
+    "relu": Tensor.relu,
 }
 
 
@@ -108,8 +101,8 @@ class MLP(Sequential):
     """Multi-layer perceptron defined by a list of hidden sizes.
 
     This is the shape of RouteNet's readout function: a stack of dense layers
-    with a chosen hidden activation and a (typically linear or softplus)
-    output activation.
+    with a chosen hidden activation and a (typically linear) output
+    activation.
     """
 
     def __init__(
@@ -130,57 +123,3 @@ class MLP(Sequential):
         super().__init__(layers)
         self.in_features = in_features
         self.out_features = out_features
-
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in evaluation mode."""
-
-    def __init__(self, rate: float, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, rng=self._rng, training=self.training)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, features: int, epsilon: float = 1e-5) -> None:
-        super().__init__()
-        self.features = features
-        self.epsilon = epsilon
-        self.gain = Parameter(ones_init((features,)), name="gain")
-        self.bias = Parameter(zeros_init((features,)), name="bias")
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered ** 2).mean(axis=-1, keepdims=True)
-        normalised = centered / ((variance + self.epsilon) ** 0.5)
-        return normalised * self.gain + self.bias
-
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if num_embeddings <= 0 or embedding_dim <= 0:
-            raise ValueError("num_embeddings and embedding_dim must be positive")
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        generator = rng if rng is not None else np.random.default_rng()
-        self.weight = Parameter(generator.normal(0.0, 0.05, size=(num_embeddings, embedding_dim)),
-                                name="weight")
-
-    def forward(self, indices) -> Tensor:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
-            raise IndexError("embedding index out of range")
-        return self.weight.gather(indices)

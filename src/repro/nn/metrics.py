@@ -3,7 +3,7 @@
 The central quantity of the paper's evaluation (Fig. 2) is the *relative
 error* of the delay prediction for every source-destination path, whose
 cumulative distribution function is then plotted.  :func:`relative_errors`
-and :func:`cumulative_distribution` implement exactly that pipeline.
+computes it; :class:`repro.evaluation.cdf.ErrorCDF` tabulates its CDF.
 """
 
 from __future__ import annotations
@@ -16,14 +16,9 @@ __all__ = [
     "relative_errors",
     "absolute_relative_errors",
     "mean_relative_error",
-    "median_relative_error",
-    "mean_absolute_error",
     "mean_absolute_percentage_error",
     "root_mean_squared_error",
-    "r2_score",
     "pearson_correlation",
-    "cumulative_distribution",
-    "error_quantiles",
 ]
 
 
@@ -53,17 +48,6 @@ def mean_relative_error(predictions, targets) -> float:
     return float(absolute_relative_errors(predictions, targets).mean())
 
 
-def median_relative_error(predictions, targets) -> float:
-    """Median absolute relative error."""
-    return float(np.median(absolute_relative_errors(predictions, targets)))
-
-
-def mean_absolute_error(predictions, targets) -> float:
-    """Mean absolute error."""
-    predictions, targets = _to_arrays(predictions, targets)
-    return float(np.abs(predictions - targets).mean())
-
-
 def mean_absolute_percentage_error(predictions, targets) -> float:
     """MAPE in percent."""
     return 100.0 * mean_relative_error(predictions, targets)
@@ -75,41 +59,9 @@ def root_mean_squared_error(predictions, targets) -> float:
     return float(np.sqrt(((predictions - targets) ** 2).mean()))
 
 
-def r2_score(predictions, targets) -> float:
-    """Coefficient of determination."""
-    predictions, targets = _to_arrays(predictions, targets)
-    residual = ((targets - predictions) ** 2).sum()
-    total = ((targets - targets.mean()) ** 2).sum()
-    if total == 0.0:
-        return 1.0 if residual == 0.0 else 0.0
-    return float(1.0 - residual / total)
-
-
 def pearson_correlation(predictions, targets) -> float:
     """Pearson correlation coefficient between predictions and targets."""
     predictions, targets = _to_arrays(predictions, targets)
     if predictions.std() == 0.0 or targets.std() == 0.0:
         return 0.0
     return float(np.corrcoef(predictions, targets)[0, 1])
-
-
-def cumulative_distribution(values, num_points: int = 200) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of ``values`` evaluated at ``num_points`` locations.
-
-    Returns ``(x, F(x))`` suitable for plotting or tabulation, matching the
-    presentation of Fig. 2 in the paper.
-    """
-    values = np.sort(np.asarray(values, dtype=np.float64).ravel())
-    if values.size == 0:
-        raise ValueError("cannot compute the CDF of an empty array")
-    xs = np.linspace(values[0], values[-1], num_points)
-    cdf = np.searchsorted(values, xs, side="right") / values.size
-    return xs, cdf
-
-
-def error_quantiles(values, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)) -> dict:
-    """Return the requested quantiles of an error distribution as a dict."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise ValueError("cannot compute quantiles of an empty array")
-    return {f"p{int(q * 100)}": float(np.quantile(values, q)) for q in quantiles}

@@ -175,7 +175,7 @@ class Module:
     # Train / eval mode
     # ------------------------------------------------------------------ #
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects e.g. dropout)."""
+        """Set training mode recursively."""
         self.training = mode
         for module in self._modules.values():
             module.train(mode)

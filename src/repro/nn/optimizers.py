@@ -1,73 +1,14 @@
-"""Gradient-descent optimisers and learning-rate schedules."""
+"""The Adam optimiser and global-norm gradient clipping."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Momentum",
-    "RMSProp",
-    "Adam",
-    "ConstantSchedule",
-    "ExponentialDecay",
-    "StepDecay",
-    "clip_gradients_by_norm",
-]
-
-
-# ---------------------------------------------------------------------- #
-# Learning-rate schedules
-# ---------------------------------------------------------------------- #
-class ConstantSchedule:
-    """A constant learning rate."""
-
-    def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        self.learning_rate = learning_rate
-
-    def __call__(self, step: int) -> float:
-        return self.learning_rate
-
-
-class ExponentialDecay:
-    """Learning rate ``lr * decay_rate ** (step / decay_steps)``."""
-
-    def __init__(self, initial_rate: float, decay_steps: int, decay_rate: float) -> None:
-        if initial_rate <= 0 or decay_steps <= 0 or not 0 < decay_rate <= 1:
-            raise ValueError("invalid exponential decay configuration")
-        self.initial_rate = initial_rate
-        self.decay_steps = decay_steps
-        self.decay_rate = decay_rate
-
-    def __call__(self, step: int) -> float:
-        return self.initial_rate * self.decay_rate ** (step / self.decay_steps)
-
-
-class StepDecay:
-    """Learning rate divided by ``factor`` every ``every`` steps."""
-
-    def __init__(self, initial_rate: float, every: int, factor: float = 10.0) -> None:
-        if initial_rate <= 0 or every <= 0 or factor <= 1:
-            raise ValueError("invalid step decay configuration")
-        self.initial_rate = initial_rate
-        self.every = every
-        self.factor = factor
-
-    def __call__(self, step: int) -> float:
-        return self.initial_rate / (self.factor ** (step // self.every))
-
-
-def _as_schedule(learning_rate) -> "ConstantSchedule":
-    if callable(learning_rate):
-        return learning_rate
-    return ConstantSchedule(float(learning_rate))
+__all__ = ["Adam", "clip_gradients_by_norm"]
 
 
 def clip_gradients_by_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -86,24 +27,29 @@ def clip_gradients_by_norm(parameters: Iterable[Parameter], max_norm: float) -> 
     return total
 
 
-# ---------------------------------------------------------------------- #
-# Optimisers
-# ---------------------------------------------------------------------- #
-class Optimizer:
-    """Base class: tracks parameters, step count and learning-rate schedule."""
+class Adam:
+    """Adam optimiser (Kingma & Ba, 2015) with bias correction and a
+    constant learning rate."""
 
-    def __init__(self, parameters: Iterable[Parameter], learning_rate=1e-3,
-                 weight_decay: float = 0.0) -> None:
+    #: Per-parameter moment buffers, stored as ``_<name>`` lists.
+    BUFFERS = ("first_moment", "second_moment")
+
+    def __init__(self, parameters: Iterable[Parameter], learning_rate: float = 1e-3,
+                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> None:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
-        self.schedule = _as_schedule(learning_rate)
-        self.weight_decay = weight_decay
+        if learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
+        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        self.learning_rate = float(learning_rate)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
         self.step_count = 0
-
-    @property
-    def learning_rate(self) -> float:
-        return self.schedule(self.step_count)
+        self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
+        self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
         for p in self.parameters:
@@ -111,27 +57,27 @@ class Optimizer:
 
     def step(self) -> None:
         self.step_count += 1
-        lr = self.schedule(self.step_count)
-        for index, p in enumerate(self.parameters):
-            if p.grad is None:
+        lr = self.learning_rate
+        for index, param in enumerate(self.parameters):
+            grad = param.grad
+            if grad is None:
                 continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            self._update(index, p, grad, lr)
-
-    def _update(self, index: int, param: Parameter, grad: np.ndarray, lr: float) -> None:  # pragma: no cover
-        raise NotImplementedError
+            self._first_moment[index] = self.beta1 * self._first_moment[index] + (1 - self.beta1) * grad
+            self._second_moment[index] = (
+                self.beta2 * self._second_moment[index] + (1 - self.beta2) * grad ** 2
+            )
+            first_hat = self._first_moment[index] / (1 - self.beta1 ** self.step_count)
+            second_hat = self._second_moment[index] / (1 - self.beta2 ** self.step_count)
+            param.data = param.data - lr * first_hat / (np.sqrt(second_hat) + self.epsilon)
 
     def state_dict(self) -> Dict[str, object]:
         """Return the full optimiser state: step count plus moment buffers.
 
-        Subclasses declare their per-parameter buffers via
-        :meth:`_buffer_names`; every buffer is copied, so mutating the
-        returned dictionary cannot corrupt the optimiser.
+        Every buffer is copied, so mutating the returned dictionary cannot
+        corrupt the optimiser.
         """
         state: Dict[str, object] = {"step_count": self.step_count}
-        for name in self._buffer_names():
+        for name in self.BUFFERS:
             state[name] = [np.array(buffer, copy=True)
                            for buffer in getattr(self, f"_{name}")]
         return state
@@ -143,11 +89,11 @@ class Optimizer:
         loading the state of an optimiser built over a different model (or a
         truncated legacy state that only carried ``step_count``) raises
         instead of silently resuming with zeroed moments, which would make
-        e.g. Adam's bias correction ``1/(1 - beta**step_count)`` wrong for
-        every freshly zeroed buffer.
+        the bias correction ``1/(1 - beta**step_count)`` wrong for every
+        freshly zeroed buffer.
         """
         self.step_count = int(state.get("step_count", 0))
-        for name in self._buffer_names():
+        for name in self.BUFFERS:
             if name not in state:
                 raise KeyError(
                     f"optimizer state is missing the '{name}' buffers; "
@@ -166,86 +112,3 @@ class Optimizer:
                         f"parameter shape {param.data.shape}")
                 restored.append(array.astype(param.data.dtype, copy=True))
             setattr(self, f"_{name}", restored)
-
-    def _buffer_names(self) -> tuple:
-        """Names of per-parameter moment buffers (stored as ``_<name>`` lists)."""
-        return ()
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def _update(self, index: int, param: Parameter, grad: np.ndarray, lr: float) -> None:
-        param.data = param.data - lr * grad
-
-
-class Momentum(Optimizer):
-    """SGD with (optionally Nesterov) momentum."""
-
-    def __init__(self, parameters, learning_rate=1e-2, momentum: float = 0.9,
-                 nesterov: bool = False, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, learning_rate, weight_decay)
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.nesterov = nesterov
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _buffer_names(self) -> tuple:
-        return ("velocity",)
-
-    def _update(self, index: int, param: Parameter, grad: np.ndarray, lr: float) -> None:
-        velocity = self.momentum * self._velocity[index] - lr * grad
-        self._velocity[index] = velocity
-        if self.nesterov:
-            param.data = param.data + self.momentum * velocity - lr * grad
-        else:
-            param.data = param.data + velocity
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponential moving average of squared gradients."""
-
-    def __init__(self, parameters, learning_rate=1e-3, rho: float = 0.9,
-                 epsilon: float = 1e-8, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, learning_rate, weight_decay)
-        self.rho = rho
-        self.epsilon = epsilon
-        self._mean_square = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _buffer_names(self) -> tuple:
-        return ("mean_square",)
-
-    def _update(self, index: int, param: Parameter, grad: np.ndarray, lr: float) -> None:
-        self._mean_square[index] = (
-            self.rho * self._mean_square[index] + (1.0 - self.rho) * grad ** 2
-        )
-        param.data = param.data - lr * grad / (np.sqrt(self._mean_square[index]) + self.epsilon)
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(self, parameters, learning_rate=1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, learning_rate, weight_decay)
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
-        self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _buffer_names(self) -> tuple:
-        return ("first_moment", "second_moment")
-
-    def _update(self, index: int, param: Parameter, grad: np.ndarray, lr: float) -> None:
-        self._first_moment[index] = self.beta1 * self._first_moment[index] + (1 - self.beta1) * grad
-        self._second_moment[index] = (
-            self.beta2 * self._second_moment[index] + (1 - self.beta2) * grad ** 2
-        )
-        first_hat = self._first_moment[index] / (1 - self.beta1 ** self.step_count)
-        second_hat = self._second_moment[index] / (1 - self.beta2 ** self.step_count)
-        param.data = param.data - lr * first_hat / (np.sqrt(second_hat) + self.epsilon)

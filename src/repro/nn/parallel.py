@@ -89,7 +89,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.losses import LOSSES
+from repro.nn.losses import mse_loss
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.supervision import Farm, Lost, SupervisionPolicy
@@ -133,8 +133,8 @@ def path_weighted_average(vectors: Sequence[np.ndarray],
     return accumulated
 
 
-def _backward(model: Module, batch, loss_name: str) -> Tensor:
-    """Forward, loss and backward on one batch: the one kernel every
+def _backward(model: Module, batch) -> Tensor:
+    """Forward, MSE loss and backward on one batch: the one kernel every
     training gradient comes from, in a pool worker or in the trainer's own
     process, so both give bit-identical gradients for identical parameters
     and batch.  Leaves the gradients on ``model``'s parameters and returns
@@ -142,15 +142,15 @@ def _backward(model: Module, batch, loss_name: str) -> Tensor:
     model.zero_grad()
     predictions = model(batch)
     targets = Tensor(np.asarray(batch.targets, dtype=predictions.data.dtype))
-    loss = LOSSES[loss_name](predictions, targets)
+    loss = mse_loss(predictions, targets)
     loss.backward()
     return loss
 
 
-def _compute_gradient(model: Module, batch, loss_name: str) -> GradientResult:
+def _compute_gradient(model: Module, batch) -> GradientResult:
     """A worker's answer for one batch: :func:`_backward`, then
     ``(flat_gradient, loss, num_paths)``."""
-    loss = _backward(model, batch, loss_name)
+    loss = _backward(model, batch)
     return model.gradients_vector(), float(loss.item()), int(batch.num_paths)
 
 
@@ -210,7 +210,7 @@ class _GradientWorker:
                  param_dtype: str, param_count: int) -> None:
         _limit_blas_threads()
         self.rank = rank
-        self.model, self.loss_name = pickle.loads(payload)
+        self.model = pickle.loads(payload)
         self.params = np.frombuffer(param_buffer, dtype=param_dtype,
                                     count=param_count)
         self.steps_handled = 0
@@ -222,7 +222,7 @@ class _GradientWorker:
         # load_parameters_vector copies per parameter, so nothing in the
         # model aliases the shared buffer the parent rewrites next group.
         self.model.load_parameters_vector(self.params)
-        return _compute_gradient(self.model, batch, self.loss_name)
+        return _compute_gradient(self.model, batch)
 
 
 class GradientWorkerPool:
@@ -242,15 +242,13 @@ class GradientWorkerPool:
         (every model in :mod:`repro.models` is).
     num_workers:
         Number of worker processes (≥ 1).
-    loss:
-        ``"mse"`` or ``"huber"`` — must match the trainer's loss.
     task_timeout:
         Seconds one gradient task may run before its worker is presumed
         hung, killed and respawned.  ``None`` (default) disables the
         timeout.
     """
 
-    def __init__(self, model: Module, num_workers: int = 1, loss: str = "mse",
+    def __init__(self, model: Module, num_workers: int = 1,
                  task_timeout: Optional[float] = None) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
@@ -268,7 +266,7 @@ class GradientWorkerPool:
         # in-process); the restart budget only covers later faults.
         self._farm = Farm(
             num_workers, _GradientWorker,
-            (pickle.dumps((model, loss)), self._param_buffer,
+            (pickle.dumps(model), self._param_buffer,
              self._param_dtype.str, self._param_count),
             SupervisionPolicy(task_timeout=task_timeout),
             label="gradient worker")
@@ -353,7 +351,7 @@ class GradientWorkerPool:
             pass
 
 
-def make_gradient_executor(model: Module, num_workers: int, loss: str = "mse",
+def make_gradient_executor(model: Module, num_workers: int,
                            task_timeout: Optional[float] = None) -> GradientWorkerPool:
     """Start the gradient worker pool for data-parallel training.
 
@@ -361,5 +359,4 @@ def make_gradient_executor(model: Module, num_workers: int, loss: str = "mse",
     killed and respawned).  A start-up failure raises; the trainer then
     computes its groups in-process.
     """
-    return GradientWorkerPool(model, num_workers, loss=loss,
-                              task_timeout=task_timeout)
+    return GradientWorkerPool(model, num_workers, task_timeout=task_timeout)

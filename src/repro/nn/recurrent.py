@@ -1,6 +1,6 @@
-"""Recurrent cells (GRU, LSTM) and sequence-scan helpers.
+"""The GRU cell and sequence-scan helpers.
 
-RouteNet's message passing uses recurrent cells in two roles:
+RouteNet's message passing uses GRU cells in two roles:
 
 * as the *update functions* of link/node states (one step per message-passing
   iteration), and
@@ -8,8 +8,10 @@ RouteNet's message passing uses recurrent cells in two roles:
   extended architecture, node) states along each path.
 
 The models run the path update through :func:`scan_rnn`, a streaming
-checkpointed scan fused with the per-link aggregation (optionally through
-the compiled kernels of :mod:`repro.nn.scan_kernels`).
+checkpointed scan fused with the per-link aggregation: through the compiled
+GRU kernel of :mod:`repro.nn.scan_kernels` under ``scan_mode="compiled"``,
+or as the interpreted per-step scan under ``scan_mode="stream"``, which
+also serves any other :class:`RNNCellBase` cell.
 :func:`run_rnn_over_sequence` scans a cell over a padded, masked batch of
 sequences and keeps every step's output; it is the straightforward
 reference the tests hold :func:`scan_rnn` to.
@@ -22,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros_init
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import (
@@ -34,10 +35,10 @@ from repro.nn.tensor import (
     make_multi_output,
     masked_where,
     no_grad,
+    stack,
 )
 
-__all__ = ["RNNCellBase", "GRUCell", "LSTMCell", "run_rnn_over_sequence",
-           "ScanScatter", "scan_rnn"]
+__all__ = ["RNNCellBase", "GRUCell", "run_rnn_over_sequence", "ScanScatter", "scan_rnn"]
 
 
 class RNNCellBase(Module):
@@ -101,54 +102,6 @@ class GRUCell(RNNCellBase):
         return (1.0 - update_gate) * candidate + update_gate * state
 
 
-class LSTMCell(RNNCellBase):
-    """Long short-term memory cell.
-
-    The state is the concatenation ``[h, c]`` of the hidden and cell states so
-    the interface matches :class:`GRUCell` (a single state tensor); use
-    :meth:`split_state` to recover the two halves.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__(input_size, hidden_size)
-        generator = rng if rng is not None else np.random.default_rng()
-        self.weight_input = Parameter(
-            glorot_uniform((input_size, 4 * hidden_size), rng=generator), name="weight_input")
-        self.weight_hidden = Parameter(
-            orthogonal((hidden_size, 4 * hidden_size), rng=generator), name="weight_hidden")
-        self.bias = Parameter(zeros_init((4 * hidden_size,)), name="bias")
-
-    def initial_state(self, batch_size: int) -> Tensor:
-        return Tensor(np.zeros((batch_size, 2 * self.hidden_size), dtype=self.param_dtype))
-
-    @staticmethod
-    def split_state(state: Tensor) -> Tuple[Tensor, Tensor]:
-        """Split the packed ``[h, c]`` state into ``(h, c)``."""
-        hidden = state.shape[-1] // 2
-        return state[:, :hidden], state[:, hidden:]
-
-    def forward(self, inputs: Tensor, state: Tensor) -> Tensor:
-        inputs = as_tensor(inputs)
-        state = as_tensor(state)
-        hidden = self.hidden_size
-        h_prev, c_prev = self.split_state(state)
-
-        gates = inputs.matmul(self.weight_input) + h_prev.matmul(self.weight_hidden) + self.bias
-        input_gate = gates[:, :hidden].sigmoid()
-        forget_gate = gates[:, hidden:2 * hidden].sigmoid()
-        output_gate = gates[:, 2 * hidden:3 * hidden].sigmoid()
-        candidate = gates[:, 3 * hidden:].tanh()
-
-        c_new = forget_gate * c_prev + input_gate * candidate
-        h_new = output_gate * c_new.tanh()
-        return F.concat([h_new, c_new], axis=1)
-
-    def hidden_output(self, state: Tensor) -> Tensor:
-        """Return the hidden half of the packed state (the cell's output)."""
-        return self.split_state(state)[0]
-
-
 def run_rnn_over_sequence(
     cell: RNNCellBase,
     sequence: Tensor,
@@ -203,7 +156,7 @@ def run_rnn_over_sequence(
             # the gradient between new and old state in a pooled buffer.
             state = masked_where(valid[:, step], new_state, state)
         outputs.append(state)
-    stacked = F.stack(outputs, axis=1)
+    stacked = stack(outputs, axis=1)
     return stacked, state
 
 
@@ -281,8 +234,9 @@ def scan_rnn(
         :func:`~repro.nn.scan_kernels.compile_scan_spec`.  When given and
         the cell has a compiled step kernel (the exact :class:`GRUCell`),
         the scan runs through the raw-NumPy kernel executor instead of the
-        interpreted per-step tape; cells without a kernel (the LSTM cell,
-        custom cells) fall back to the interpreted scan transparently.
+        interpreted per-step tape; cells without a kernel (subclasses of
+        :class:`GRUCell`, other cells) fall back to the interpreted scan
+        transparently.
 
     Returns
     -------

@@ -46,9 +46,9 @@ longest-lived first, so the paths still live at step ``t`` — valid at
 gather, cell step, emission and VJP run on ``(·, live_t)`` blocks.  A path's
 final state is written out when it leaves the prefix.
 
-Cells other than the exact :class:`~repro.nn.recurrent.GRUCell` (the LSTM
-cell and custom cells) fall back to the interpreted scan transparently
-(:func:`compile_step_kernel` returns ``None`` for them).
+Both models build only the exact :class:`~repro.nn.recurrent.GRUCell`.  Any
+other cell, a subclass of it included, falls back to the interpreted scan
+transparently (:func:`compile_step_kernel` returns ``None`` for it).
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def compile_step_kernel(cell) -> Optional[GRUStepKernel]:
     """Return a gate-major step kernel for ``cell``, or ``None``.
 
     Only the exact :class:`~repro.nn.recurrent.GRUCell` compiles, the one
-    cell the models build; subclasses may override ``forward``, and the
-    LSTM and custom cells take :func:`scan_rnn`'s interpreted scan.
+    cell the models build; subclasses may override ``forward``, so they
+    and any other cell take :func:`scan_rnn`'s interpreted scan.
     """
     from repro.nn import recurrent
 

@@ -10,8 +10,7 @@ import numpy as np
 
 from repro.nn.module import Module
 
-__all__ = ["save_parameters", "load_parameters", "save_checkpoint", "load_checkpoint",
-           "read_checkpoint_metadata"]
+__all__ = ["load_parameters", "save_checkpoint", "read_checkpoint_metadata"]
 
 
 def _replace_all(writers: Dict[str, Callable[[str], None]]) -> None:
@@ -38,18 +37,8 @@ def _replace_all(writers: Dict[str, Callable[[str], None]]) -> None:
         os.replace(temporary, path)
 
 
-def save_parameters(module: Module, path: str) -> str:
-    """Save every parameter of ``module`` to a compressed ``.npz`` file.
-
-    Returns the path written (with the ``.npz`` suffix added if missing).
-    The archive is written under a temporary name and renamed into place,
-    so a save that fails partway leaves the previous file loadable.
-    """
-    return save_checkpoint(module, path)
-
-
 def load_parameters(module: Module, path: str, strict: bool = True) -> Module:
-    """Load parameters saved with :func:`save_parameters` into ``module``."""
+    """Load parameters saved with :func:`save_checkpoint` into ``module``."""
     if not path.endswith(".npz"):
         path = path + ".npz"
     if not os.path.exists(path):
@@ -98,12 +87,3 @@ def read_checkpoint_metadata(path: str) -> dict:
         with open(sidecar, "r", encoding="utf-8") as handle:
             return json.load(handle)
     return {}
-
-
-def load_checkpoint(module: Module, path: str, strict: bool = True) -> dict:
-    """Load a checkpoint written by :func:`save_checkpoint`.
-
-    Returns the metadata dictionary (empty if no sidecar exists).
-    """
-    load_parameters(module, path, strict=strict)
-    return read_checkpoint_metadata(path)

@@ -42,15 +42,6 @@ class History:
         self.samples_per_sec.append(samples_per_sec)
         self.peak_live_batches.append(peak_live_batches)
 
-    @property
-    def best_val_loss(self) -> Optional[float]:
-        observed = [v for v in self.val_loss if v is not None]
-        return min(observed) if observed else None
-
-    @property
-    def best_train_loss(self) -> float:
-        return min(self.train_loss) if self.train_loss else float("nan")
-
     def as_dict(self) -> Dict[str, list]:
         return {
             "epochs": list(self.epochs),

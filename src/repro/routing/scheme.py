@@ -35,8 +35,10 @@ class RoutingScheme:
         self._link_matrix: Optional[np.ndarray] = None
         if validate:
             for (source, destination), path in paths.items():
-                self._validate_path(int(source), int(destination), list(path))
-                self._paths[(int(source), int(destination))] = [int(n) for n in path]
+                source, destination = int(source), int(destination)
+                path = [int(n) for n in path]
+                self._validate_path(source, destination, path)
+                self._paths[(source, destination)] = path
         else:
             self._paths = dict(paths)
 

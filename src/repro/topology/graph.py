@@ -177,7 +177,7 @@ class Topology:
         return self.link_spec(source, target)
 
     def has_link(self, source: int, target: int) -> bool:
-        return self._graph.has_edge(int(source), int(target))
+        return (int(source), int(target)) in self._link_ids
 
     def successors(self, node_id: int) -> List[int]:
         """Nodes reachable over one outgoing link of ``node_id``."""

@@ -21,9 +21,8 @@ import numpy as np
 
 from repro.models import ExtendedRouteNet, RouteNet
 from repro.models.message_passing import aggregate_path_states_per_node
-from repro.nn import functional as F
 from repro.nn.recurrent import run_rnn_over_sequence
-from repro.nn.tensor import gather_segment_sum
+from repro.nn.tensor import gather_segment_sum, stack
 
 
 def aggregate_positional_messages(path_rnn_outputs, index, target):
@@ -69,7 +68,7 @@ class StackedExtendedRouteNet(ExtendedRouteNet):
         node_part = node_states.gather(sample.node_sequences)
         link_part = link_states.gather(sample.link_sequences)
         num_paths, max_len = sample.link_sequences.shape
-        sequence = F.stack([node_part, link_part], axis=2).reshape(
+        sequence = stack([node_part, link_part], axis=2).reshape(
             num_paths, 2 * max_len, link_part.shape[-1])
         mask = np.repeat(sample.sequence_mask, 2, axis=1)
         outputs, new_path_states = run_rnn_over_sequence(

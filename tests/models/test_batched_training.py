@@ -31,7 +31,7 @@ from repro.models import (
     TrainerConfig,
 )
 from repro.models.message_passing import build_index
-from repro.nn.losses import LOSSES
+from repro.nn.losses import mse_loss
 from repro.nn.tensor import Tensor, no_grad
 from repro.topology import linear_topology, ring_topology
 
@@ -141,7 +141,7 @@ class TestBatchedEvaluateLoss:
             for batch in batches:
                 predictions = trainer.model(batch)
                 targets = Tensor(np.asarray(batch.targets, dtype=predictions.data.dtype))
-                loss = LOSSES[trainer.config.loss](predictions, targets)
+                loss = mse_loss(predictions, targets)
                 per_item.append(float(loss.item()))
         weighted = trainer.evaluate_loss(batches)
         expected = (np.average(per_item, weights=[b.num_paths for b in batches]))

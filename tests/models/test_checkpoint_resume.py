@@ -1,6 +1,6 @@
 """Exact training resume: trainer checkpoints round-trip everything.
 
-The headline bugfix behind these tests: ``Optimizer.state_dict`` used to
+The headline bugfix behind these tests: ``Adam.state_dict`` used to
 persist only ``step_count`` and silently drop the Adam moment buffers, so a
 resumed run applied the bias correction ``1/(1 - beta**step_count)`` to
 freshly zeroed moments — quietly wrong updates.  A full trainer checkpoint
@@ -129,8 +129,6 @@ def test_mismatched_training_setup_raises(samples, tmp_path):
     trainer = _trainer(1)
     trainer.fit(samples)
     path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
-    with pytest.raises(ValueError, match="loss"):
-        _trainer(1, loss="huber").load_checkpoint(path)
     with pytest.raises(ValueError, match="batch_size"):
         _trainer(1, batch_size=4).load_checkpoint(path)
     # Epochs and learning rate are deliberate resume knobs: no error.
@@ -150,6 +148,17 @@ def test_fit_checkpoint_path_saves_every_epoch(samples, tmp_path):
                           trainer.model.parameters_vector())
 
 
+def _record_settings(path, **settings):
+    """Rewrite the trainer_config a checkpoint records, as an older
+    version that still had these settings would have written it."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    metadata = json.loads(str(arrays["meta.json"]))
+    metadata["trainer_config"].update(settings)
+    arrays["meta.json"] = np.array(json.dumps(metadata))
+    np.savez_compressed(path, **arrays)
+
+
 def test_checkpoint_with_a_removed_setting_loads(samples, tmp_path):
     """Checkpoints whose trainer_config still holds ``overlap`` (a
     pipelining switch that never changed an update) or ``parallel_backend``
@@ -158,13 +167,7 @@ def test_checkpoint_with_a_removed_setting_loads(samples, tmp_path):
     trainer = _trainer(1)
     trainer.fit(samples)
     path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
-    with np.load(path) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    metadata = json.loads(str(arrays["meta.json"]))
-    metadata["trainer_config"]["overlap"] = True
-    metadata["trainer_config"]["parallel_backend"] = "serial"
-    arrays["meta.json"] = np.array(json.dumps(metadata))
-    np.savez_compressed(path, **arrays)
+    _record_settings(path, overlap=True, parallel_backend="serial")
     restored = _trainer(1)
     restored.load_checkpoint(path)
     assert np.array_equal(restored.model.parameters_vector(),
@@ -174,6 +177,36 @@ def test_checkpoint_with_a_removed_setting_loads(samples, tmp_path):
     assert restored.history.train_loss == trainer.history.train_loss
     assert np.array_equal(restored.model.parameters_vector(),
                           trainer.model.parameters_vector())
+
+
+def test_checkpoint_recording_the_mse_loss_loads(samples, tmp_path):
+    """Every checkpoint written while ``loss`` was a setting records it;
+    one that recorded "mse", the loss every run now trains on, loads and
+    resumes bit-exactly."""
+    trainer = _trainer(1)
+    trainer.fit(samples)
+    path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
+    _record_settings(path, loss="mse")
+    restored = _trainer(1)
+    restored.load_checkpoint(path)
+    assert np.array_equal(restored.model.parameters_vector(),
+                          trainer.model.parameters_vector())
+    trainer.fit(samples)
+    restored.fit(samples)
+    assert restored.history.train_loss == trainer.history.train_loss
+    assert np.array_equal(restored.model.parameters_vector(),
+                          trainer.model.parameters_vector())
+
+
+def test_checkpoint_recording_another_loss_is_refused(samples, tmp_path):
+    """A checkpoint trained on another loss optimised a different
+    objective: resuming it under MSE is refused, naming ``loss``."""
+    trainer = _trainer(1)
+    trainer.fit(samples)
+    path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
+    _record_settings(path, loss="huber")
+    with pytest.raises(ValueError, match="loss: saved='huber' current='mse'"):
+        _trainer(1).load_checkpoint(path)
 
 
 def test_missing_checkpoint_raises(tmp_path):
@@ -198,3 +231,5 @@ def test_trainer_config_validation():
         TrainerConfig(parallel_backend="serial")
     with pytest.raises(TypeError, match="overlap"):
         TrainerConfig(overlap=True)
+    with pytest.raises(TypeError, match="loss"):
+        TrainerConfig(loss="mse")

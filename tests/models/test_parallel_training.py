@@ -74,14 +74,13 @@ def test_group_gradient_matches_merged_batch(samples):
     batch_b = merge_tensorized_samples(items[2:5])
 
     params = trainer.model.parameters_vector()
-    results = replica_gradients(trainer.model, params, [batch_a, batch_b],
-                                loss=trainer.config.loss)
+    results = replica_gradients(trainer.model, params, [batch_a, batch_b])
     averaged = path_weighted_average([r[0] for r in results],
                                      [r[2] for r in results])
 
     merged = merge_tensorized_samples(items[:5])
     (merged_grad, merged_loss, merged_paths), = replica_gradients(
-        trainer.model, params, [merged], loss=trainer.config.loss)
+        trainer.model, params, [merged])
 
     assert merged_paths == results[0][2] + results[1][2]
     group_loss = ((results[0][1] * results[0][2] + results[1][1] * results[1][2])

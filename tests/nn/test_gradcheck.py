@@ -1,8 +1,8 @@
 """Parametric gradient checks: every op × both dtypes, via the harness.
 
 Complements ``test_tensor_autograd.py`` (float64-only, structural cases):
-here every differentiable Tensor operation, the functional activations, the
-fused masked-update nodes and both recurrent cells are verified against
+here every differentiable Tensor operation, the fused masked-update nodes
+and the GRU cell are verified against
 float64 central differences in **float64 and float32**, and their outputs
 are required to carry the requested dtype (catching silent upcasts).
 """
@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
-from repro.nn.recurrent import GRUCell, LSTMCell, run_rnn_over_sequence
+from repro.nn.recurrent import GRUCell, run_rnn_over_sequence
 from repro.nn.tensor import (
     Tensor,
     concat,
@@ -109,13 +108,6 @@ OP_CASES = [
     ("gather_segment_sum_entries",
      lambda a: gather_segment_sum(a, (_ENTRY_ROWS, _ENTRY_COLS), _ENTRY_SEGMENTS, 3),
      [RNG.normal(size=(4, 2, 3))]),
-    # Functional activations (where-based composites).
-    ("leaky_relu", lambda a: F.leaky_relu(a), [_away_from(RNG.normal(size=(4, 3)), 0.0)]),
-    ("elu", lambda a: F.elu(a), [_away_from(RNG.normal(size=(4, 3)), 0.0)]),
-    ("selu", lambda a: F.selu(a), [_away_from(RNG.normal(size=(4, 3)), 0.0)]),
-    ("softmax", lambda a: F.softmax(a, axis=-1), [RNG.normal(size=(3, 4))]),
-    ("l2_norm", lambda a, b: F.l2_norm([a, b]),
-     [RNG.normal(size=(3, 2)), RNG.normal(size=(4,))]),
 ]
 
 
@@ -147,22 +139,13 @@ def test_astype_downcast_backward_exact():
 
 
 # --------------------------------------------------------------------- #
-# Recurrent cells and the masked sequence scan
+# The GRU cell and the masked sequence scan
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_gru_cell_gradients(dtype):
     module_gradcheck(
         lambda: GRUCell(3, 4, rng=np.random.default_rng(0)),
         [RNG.normal(size=(5, 3)), RNG.normal(size=(5, 4))],
-        dtype=dtype,
-    )
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_lstm_cell_gradients(dtype):
-    module_gradcheck(
-        lambda: LSTMCell(3, 4, rng=np.random.default_rng(1)),
-        [RNG.normal(size=(5, 3)), RNG.normal(size=(5, 8))],
         dtype=dtype,
     )
 

@@ -1,12 +1,11 @@
-"""Tests for dense layers, normalisation, embeddings and recurrent cells."""
+"""Tests for dense layers, the GRU cell and the reference sequence scan."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import functional as F
-from repro.nn.layers import MLP, Dense, Dropout, Embedding, LayerNorm, Sequential, get_activation
-from repro.nn.recurrent import GRUCell, LSTMCell, run_rnn_over_sequence
+from repro.nn.layers import MLP, Dense, Sequential, get_activation
+from repro.nn.recurrent import GRUCell, run_rnn_over_sequence
 from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(11)
@@ -98,62 +97,6 @@ class TestSequentialAndMLP:
         assert loss.item() < first_loss * 0.1
 
 
-class TestDropoutAndNorm:
-    def test_dropout_eval_identity(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        layer.eval()
-        x = Tensor(RNG.normal(size=(10, 10)))
-        np.testing.assert_allclose(layer(x).data, x.data)
-
-    def test_dropout_training_zeroes_entries(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.ones((50, 50))))
-        fraction_zero = float((out.data == 0).mean())
-        assert 0.3 < fraction_zero < 0.7
-
-    def test_dropout_scales_survivors(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.ones((20, 20))))
-        surviving = out.data[out.data != 0]
-        np.testing.assert_allclose(surviving, 2.0)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_layernorm_statistics(self):
-        layer = LayerNorm(8)
-        out = layer(Tensor(RNG.normal(size=(4, 8)) * 5 + 3))
-        np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_layernorm_learnable_shift(self):
-        layer = LayerNorm(4)
-        layer.bias.data = np.full(4, 7.0)
-        out = layer(Tensor(RNG.normal(size=(2, 4))))
-        np.testing.assert_allclose(out.data.mean(axis=-1), 7.0, atol=1e-6)
-
-
-class TestEmbedding:
-    def test_lookup_shape(self):
-        emb = Embedding(10, 4, rng=RNG)
-        out = emb([1, 2, 3])
-        assert out.shape == (3, 4)
-
-    def test_out_of_range_raises(self):
-        emb = Embedding(5, 2, rng=RNG)
-        with pytest.raises(IndexError):
-            emb([7])
-
-    def test_gradient_reaches_rows(self):
-        emb = Embedding(6, 3, rng=RNG)
-        out = emb([2, 2, 4])
-        (out ** 2).sum().backward()
-        grad_rows = np.abs(emb.weight.grad).sum(axis=1)
-        assert grad_rows[2] > 0 and grad_rows[4] > 0
-        assert grad_rows[0] == 0
-
-
 class TestGRUCell:
     def test_state_shape(self):
         cell = GRUCell(4, 8, rng=RNG)
@@ -194,28 +137,6 @@ class TestGRUCell:
             GRUCell(0, 4)
 
 
-class TestLSTMCell:
-    def test_packed_state_shapes(self):
-        cell = LSTMCell(3, 5, rng=RNG)
-        state = cell.initial_state(4)
-        assert state.shape == (4, 10)
-        new_state = cell(Tensor(RNG.normal(size=(4, 3))), state)
-        assert new_state.shape == (4, 10)
-        h, c = cell.split_state(new_state)
-        assert h.shape == (4, 5) and c.shape == (4, 5)
-
-    def test_hidden_output(self):
-        cell = LSTMCell(2, 3, rng=RNG)
-        state = cell(Tensor(RNG.normal(size=(1, 2))), cell.initial_state(1))
-        np.testing.assert_allclose(cell.hidden_output(state).data, state.data[:, :3])
-
-    def test_gradients(self):
-        cell = LSTMCell(2, 3, rng=RNG)
-        state = cell(Tensor(RNG.normal(size=(2, 2))), cell.initial_state(2))
-        state.sum().backward()
-        assert cell.weight_input.grad is not None
-
-
 class TestSequenceScan:
     def test_output_shapes(self):
         cell = GRUCell(3, 4, rng=RNG)
@@ -250,36 +171,3 @@ class TestSequenceScan:
         cell = GRUCell(2, 3, rng=RNG)
         with pytest.raises(ValueError):
             run_rnn_over_sequence(cell, Tensor(np.zeros((2, 3))), np.ones((2, 3)))
-
-
-class TestFunctionalExtras:
-    def test_softmax_sums_to_one(self):
-        out = F.softmax(Tensor(RNG.normal(size=(4, 6))))
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
-
-    def test_one_hot(self):
-        out = F.one_hot([0, 2], 3)
-        np.testing.assert_allclose(out.data, [[1, 0, 0], [0, 0, 1]])
-
-    def test_one_hot_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot([3], 3)
-
-    def test_leaky_relu_negative_slope(self):
-        out = F.leaky_relu(Tensor(np.array([-2.0, 2.0])), negative_slope=0.1)
-        np.testing.assert_allclose(out.data, [-0.2, 2.0])
-
-    def test_elu_continuity(self):
-        out = F.elu(Tensor(np.array([-1e-9, 1e-9])))
-        np.testing.assert_allclose(out.data, [0.0, 0.0], atol=1e-8)
-
-    def test_l2_norm(self):
-        total = F.l2_norm([Tensor(np.array([3.0])), Tensor(np.array([4.0]))])
-        assert total.item() == pytest.approx(25.0)
-
-    def test_l2_norm_empty(self):
-        assert F.l2_norm([]).item() == 0.0
-
-    def test_gather_function(self):
-        out = F.gather(Tensor(np.arange(6).reshape(3, 2)), np.array([2, 0]))
-        np.testing.assert_allclose(out.data, [[4, 5], [0, 1]])

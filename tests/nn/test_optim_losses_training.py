@@ -1,4 +1,4 @@
-"""Tests for optimisers, losses, metrics, serialisation and training history."""
+"""Tests for the optimiser, the loss, metrics, serialisation and training history."""
 
 import os
 
@@ -11,17 +11,8 @@ from repro import nn
 from repro.nn import metrics
 from repro.nn.layers import MLP, Dense
 from repro.nn.module import Module, Parameter
-from repro.nn.optimizers import (
-    Adam,
-    ConstantSchedule,
-    ExponentialDecay,
-    Momentum,
-    RMSProp,
-    SGD,
-    StepDecay,
-    clip_gradients_by_norm,
-)
-from repro.nn.serialization import load_checkpoint, load_parameters, save_checkpoint, save_parameters
+from repro.nn.optimizers import Adam, clip_gradients_by_norm
+from repro.nn.serialization import load_parameters, read_checkpoint_metadata, save_checkpoint
 from repro.nn.tensor import Tensor
 from repro.nn.training import EarlyStopping, History
 
@@ -40,16 +31,9 @@ class Quadratic(Module):
         return ((self.w - self.target) ** 2).sum()
 
 
-@pytest.mark.parametrize("optimizer_cls,kwargs", [
-    (SGD, {"learning_rate": 0.1}),
-    (Momentum, {"learning_rate": 0.05, "momentum": 0.9}),
-    (Momentum, {"learning_rate": 0.05, "momentum": 0.9, "nesterov": True}),
-    (RMSProp, {"learning_rate": 0.05}),
-    (Adam, {"learning_rate": 0.2}),
-])
-def test_optimizers_converge_on_quadratic(optimizer_cls, kwargs):
+def test_adam_converges_on_quadratic():
     model = Quadratic()
-    optimizer = optimizer_cls(model.parameters(), **kwargs)
+    optimizer = Adam(model.parameters(), learning_rate=0.2)
     for _ in range(200):
         optimizer.zero_grad()
         loss = model.loss()
@@ -58,22 +42,9 @@ def test_optimizers_converge_on_quadratic(optimizer_cls, kwargs):
     np.testing.assert_allclose(model.w.data, 3.0, atol=0.05)
 
 
-def test_weight_decay_pulls_towards_zero():
-    model = Quadratic(target=0.0)
-    model.w.data = np.full(4, 5.0)
-    optimizer = SGD(model.parameters(), learning_rate=0.01, weight_decay=1.0)
-    for _ in range(100):
-        optimizer.zero_grad()
-        # Loss gradient is zero at w=0 target, decay should still shrink w.
-        loss = (model.w * 0.0).sum()
-        loss.backward()
-        optimizer.step()
-    assert np.all(np.abs(model.w.data) < 5.0)
-
-
 def test_optimizer_requires_parameters():
     with pytest.raises(ValueError):
-        SGD([], learning_rate=0.1)
+        Adam([], learning_rate=0.1)
 
 
 def test_gradient_clipping_scales_norm():
@@ -95,79 +66,19 @@ def test_gradient_clipping_empty():
     assert clip_gradients_by_norm([Parameter(np.zeros(2))], 1.0) == 0.0
 
 
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.01)
-        assert schedule(0) == schedule(1000) == 0.01
-
-    def test_exponential_decay(self):
-        schedule = ExponentialDecay(1.0, decay_steps=10, decay_rate=0.5)
-        assert schedule(10) == pytest.approx(0.5)
-        assert schedule(20) == pytest.approx(0.25)
-
-    def test_step_decay(self):
-        schedule = StepDecay(1.0, every=5, factor=10.0)
-        assert schedule(4) == pytest.approx(1.0)
-        assert schedule(5) == pytest.approx(0.1)
-
-    def test_schedule_in_optimizer(self):
-        model = Quadratic()
-        optimizer = SGD(model.parameters(), learning_rate=ExponentialDecay(0.1, 10, 0.5))
-        assert optimizer.learning_rate == pytest.approx(0.1)
-        for _ in range(10):
-            optimizer.zero_grad()
-            model.loss().backward()
-            optimizer.step()
-        assert optimizer.learning_rate < 0.1
-
-    def test_invalid_schedules(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(-1.0)
-        with pytest.raises(ValueError):
-            ExponentialDecay(1.0, 0, 0.5)
-        with pytest.raises(ValueError):
-            StepDecay(1.0, 5, 0.5)
-
-
 class TestLosses:
     def test_mse_value(self):
         loss = nn.mse_loss(Tensor([1.0, 2.0]), Tensor([0.0, 0.0]))
         assert loss.item() == pytest.approx(2.5)
-
-    def test_mae_value(self):
-        loss = nn.mae_loss(Tensor([1.0, -2.0]), Tensor([0.0, 0.0]))
-        assert loss.item() == pytest.approx(1.5)
-
-    def test_huber_quadratic_region(self):
-        loss = nn.huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0)
-        assert loss.item() == pytest.approx(0.125)
-
-    def test_huber_linear_region(self):
-        loss = nn.huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0)
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_huber_invalid_delta(self):
-        with pytest.raises(ValueError):
-            nn.huber_loss(Tensor([1.0]), Tensor([0.0]), delta=0.0)
-
-    def test_mape(self):
-        loss = nn.mape_loss(Tensor([1.1]), Tensor([1.0]))
-        assert loss.item() == pytest.approx(0.1, rel=1e-6)
-
-    def test_log_mse_scale_invariance(self):
-        small = nn.log_mse_loss(Tensor([0.002]), Tensor([0.001]))
-        large = nn.log_mse_loss(Tensor([2.0]), Tensor([1.0]))
-        assert small.item() == pytest.approx(large.item(), rel=1e-9)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             nn.mse_loss(Tensor([1.0, 2.0]), Tensor([1.0]))
 
     def test_losses_differentiable(self):
-        for loss_fn in (nn.mse_loss, nn.mae_loss, nn.huber_loss, nn.mape_loss, nn.log_mse_loss):
-            pred = Tensor(np.array([1.5, 2.5]), requires_grad=True)
-            loss_fn(pred, Tensor([1.0, 2.0])).backward()
-            assert pred.grad is not None
+        pred = Tensor(np.array([1.5, 2.5]), requires_grad=True)
+        nn.mse_loss(pred, Tensor([1.0, 2.0])).backward()
+        np.testing.assert_allclose(pred.grad, [0.5, 0.5])
 
 
 class TestMetrics:
@@ -181,13 +92,6 @@ class TestMetrics:
     def test_mape_is_percent(self):
         assert metrics.mean_absolute_percentage_error([1.1], [1.0]) == pytest.approx(10.0)
 
-    def test_r2_perfect(self):
-        assert metrics.r2_score([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_r2_mean_predictor_zero(self):
-        targets = [1.0, 2.0, 3.0]
-        assert metrics.r2_score([2.0, 2.0, 2.0], targets) == pytest.approx(0.0)
-
     def test_pearson_linear(self):
         x = np.linspace(0, 1, 20)
         assert metrics.pearson_correlation(2 * x + 1, x) == pytest.approx(1.0)
@@ -197,22 +101,6 @@ class TestMetrics:
 
     def test_rmse(self):
         assert metrics.root_mean_squared_error([3.0], [0.0]) == pytest.approx(3.0)
-
-    def test_cdf_monotonic_and_normalised(self):
-        values = RNG.normal(size=500)
-        xs, cdf = metrics.cumulative_distribution(values, num_points=100)
-        assert np.all(np.diff(cdf) >= 0)
-        assert cdf[-1] == pytest.approx(1.0)
-        assert xs[0] == pytest.approx(values.min())
-
-    def test_cdf_empty_raises(self):
-        with pytest.raises(ValueError):
-            metrics.cumulative_distribution([])
-
-    def test_quantiles(self):
-        out = metrics.error_quantiles(np.arange(101))
-        assert out["p50"] == pytest.approx(50.0)
-        assert out["p99"] == pytest.approx(99.0)
 
     def test_mismatched_sizes_raise(self):
         with pytest.raises(ValueError):
@@ -228,7 +116,7 @@ class TestMetrics:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = MLP(3, [8], 1, rng=np.random.default_rng(0))
-        path = save_parameters(model, str(tmp_path / "model"))
+        path = save_checkpoint(model, str(tmp_path / "model"))
         clone = MLP(3, [8], 1, rng=np.random.default_rng(99))
         load_parameters(clone, path)
         x = Tensor(RNG.normal(size=(4, 3)))
@@ -240,7 +128,7 @@ class TestSerialization:
 
     def test_strict_mismatch_raises(self, tmp_path):
         model = Dense(2, 2)
-        path = save_parameters(model, str(tmp_path / "dense"))
+        path = save_checkpoint(model, str(tmp_path / "dense"))
         other = Dense(3, 2)
         with pytest.raises((KeyError, ValueError)):
             load_parameters(other, path)
@@ -248,8 +136,8 @@ class TestSerialization:
     def test_checkpoint_metadata(self, tmp_path):
         model = Dense(2, 2)
         save_checkpoint(model, str(tmp_path / "ckpt"), metadata={"epoch": 7})
-        meta = load_checkpoint(Dense(2, 2), str(tmp_path / "ckpt"))
-        assert meta["epoch"] == 7
+        load_parameters(Dense(2, 2), str(tmp_path / "ckpt"))
+        assert read_checkpoint_metadata(str(tmp_path / "ckpt"))["epoch"] == 7
 
     @pytest.mark.parametrize("failing", ["third-array", "sidecar"])
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch,
@@ -283,7 +171,8 @@ class TestSerialization:
         monkeypatch.undo()
 
         restored = MLP(3, [8, 4], 1, rng=np.random.default_rng(1))
-        assert load_checkpoint(restored, path) == {"epoch": 1}
+        load_parameters(restored, path)
+        assert read_checkpoint_metadata(path) == {"epoch": 1}
         for key, value in restored.state_dict().items():
             assert np.array_equal(value, previous[key])
         assert sorted(os.listdir(tmp_path)) == ["ckpt.json", "ckpt.npz"]
@@ -342,14 +231,11 @@ class TestModuleBasics:
         assert model.weight.grad is None
 
     def test_train_eval_propagates(self):
-        model = nn.Sequential([Dense(2, 2), Dropout(0.5)])
+        model = nn.Sequential([Dense(2, 2), Dense(2, 1)])
         model.eval()
         assert not model.layers[1].training
         model.train()
         assert model.layers[1].training
-
-
-from repro.nn.layers import Dropout  # noqa: E402  (used in TestModuleBasics)
 
 
 class TestOptimizerStateDict:
@@ -357,15 +243,10 @@ class TestOptimizerStateDict:
     step count — resuming Adam with zeroed moments applies the bias
     correction 1/(1 - beta**step_count) to the wrong statistics."""
 
-    @pytest.mark.parametrize("optimizer_cls,buffer_names", [
-        (SGD, ()),
-        (Momentum, ("velocity",)),
-        (RMSProp, ("mean_square",)),
-        (Adam, ("first_moment", "second_moment")),
-    ])
-    def test_state_round_trip_restores_buffers(self, optimizer_cls, buffer_names):
+    def test_state_round_trip_restores_buffers(self):
+        buffer_names = ("first_moment", "second_moment")
         model = Quadratic()
-        optimizer = optimizer_cls(model.parameters(), learning_rate=0.05)
+        optimizer = Adam(model.parameters(), learning_rate=0.05)
         for _ in range(5):
             optimizer.zero_grad()
             model.loss().backward()
@@ -377,7 +258,7 @@ class TestOptimizerStateDict:
             assert any(np.abs(buffer).max() > 0 for buffer in state[name])
 
         fresh_model = Quadratic()
-        fresh = optimizer_cls(fresh_model.parameters(), learning_rate=0.05)
+        fresh = Adam(fresh_model.parameters(), learning_rate=0.05)
         fresh.load_state_dict(state)
         assert fresh.step_count == 5
         for name in buffer_names:
@@ -425,19 +306,19 @@ class TestOptimizerStateDict:
     def test_shape_mismatch_raises(self):
         small = Quadratic(dim=2)
         large = Quadratic(dim=4)
-        source = Momentum(large.parameters(), learning_rate=0.05)
+        source = Adam(large.parameters(), learning_rate=0.05)
         source.zero_grad()
         large.loss().backward()
         source.step()
-        target = Momentum(small.parameters(), learning_rate=0.05)
+        target = Adam(small.parameters(), learning_rate=0.05)
         with pytest.raises(ValueError, match="shape"):
             target.load_state_dict(source.state_dict())
 
     def test_buffer_count_mismatch_raises(self):
         model = Quadratic()
-        optimizer = Momentum(model.parameters(), learning_rate=0.05)
+        optimizer = Adam(model.parameters(), learning_rate=0.05)
         state = optimizer.state_dict()
-        state["velocity"] = state["velocity"] + [np.zeros(4)]
+        state["first_moment"] = state["first_moment"] + [np.zeros(4)]
         with pytest.raises(ValueError, match="buffers"):
             optimizer.load_state_dict(state)
 

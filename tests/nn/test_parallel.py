@@ -277,7 +277,7 @@ def _blas_threads():
     return None
 
 
-def _report_blas_threads(model, batch, loss_name):
+def _report_blas_threads(model, batch):
     """Stand-in for ``_compute_gradient``: answers with the worker's BLAS
     thread count in place of the loss."""
     return np.zeros(1), _blas_threads(), int(batch.num_paths)

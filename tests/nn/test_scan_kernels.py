@@ -23,8 +23,8 @@ and the executor's gate-major internals must not show through: its
 outputs are C-contiguous ``(rows, hidden)`` arrays, the caller's initial
 state is never written, and reused buffers carry nothing between calls.
 
-Cells without a compiled kernel (the LSTM cell and custom cells) must
-fall back to the interpreted scan, and a spec compiled for a different
+Cells without a compiled kernel (a custom cell and a subclass of the GRU
+cell) must fall back to the interpreted scan, and a spec compiled for a different
 shape (or a different scatter arrangement) must be rejected loudly
 rather than silently misindex.
 """
@@ -34,12 +34,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.initializers import glorot_uniform
 from repro.nn.module import Parameter
 from repro.nn.recurrent import (
     GRUCell,
-    LSTMCell,
     RNNCellBase,
     ScanScatter,
     scan_rnn,
@@ -50,7 +48,7 @@ from repro.nn.scan_kernels import (
     compile_step_kernel,
     run_compiled_scan,
 )
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, concat, no_grad
 
 from tests.nn.gradcheck import module_gradcheck
 from tests.support import float_tolerance
@@ -108,8 +106,7 @@ def _make_cell_factory(cell_cls, hidden: int):
 
 
 def _initial_state(cell_cls, hidden: int, num_paths: int = NUM_PATHS) -> np.ndarray:
-    state_size = 2 * hidden if cell_cls is LSTMCell else hidden
-    return np.random.default_rng(11).normal(size=(num_paths, state_size)) * 0.4
+    return np.random.default_rng(11).normal(size=(num_paths, hidden)) * 0.4
 
 
 def _source_array(seed: int = 5) -> np.ndarray:
@@ -129,7 +126,7 @@ def test_compiled_scan_gradcheck_both_outputs(cell_cls, hidden, dtype):
         aggregated, final = scan_rnn(cell, (source,), STEP_SOURCES, STEP_ROWS,
                                      MASK, initial_state=initial,
                                      scatter=SCATTER, compiled=spec)
-        return F.concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
+        return concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
 
     module_gradcheck(_make_cell_factory(cell_cls, hidden),
                      [_source_array(), _initial_state(cell_cls, hidden)],
@@ -181,7 +178,7 @@ def test_compiled_scan_gradcheck_interleaved(cell_cls, hidden, dtype):
         aggregated, final = scan_rnn(cell, (source_a, source_b), step_sources,
                                      STEP_ROWS, MASK, initial_state=initial,
                                      scatter=SCATTER, compiled=spec)
-        return F.concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
+        return concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
 
     module_gradcheck(_make_cell_factory(cell_cls, hidden),
                      [_source_array(), second_source,
@@ -200,7 +197,7 @@ def test_compiled_scan_gradcheck_all_invalid_step(dtype):
         aggregated, final = scan_rnn(cell, (source,), STEP_SOURCES, STEP_ROWS,
                                      MASK_WITH_GAP, initial_state=initial,
                                      scatter=SCATTER_WITH_GAP, compiled=spec)
-        return F.concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
+        return concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
 
     module_gradcheck(_make_cell_factory(GRUCell, 3),
                      [_source_array(), _initial_state(GRUCell, 3)],
@@ -219,7 +216,7 @@ def test_compiled_scan_gradcheck_hole_and_never_valid_path(dtype):
         aggregated, final = scan_rnn(cell, (source,), STEP_SOURCES, STEP_ROWS,
                                      MASK_WITH_HOLE, initial_state=initial,
                                      scatter=SCATTER_WITH_HOLE, compiled=spec)
-        return F.concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
+        return concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
 
     module_gradcheck(_make_cell_factory(GRUCell, 3),
                      [_source_array(), _initial_state(GRUCell, 3)],
@@ -238,7 +235,7 @@ def test_compiled_scan_gradcheck_single_path_bucket(dtype):
         aggregated, final = scan_rnn(cell, (source,), STEP_SOURCES, step_rows,
                                      mask, initial_state=initial,
                                      scatter=scatter, compiled=spec)
-        return F.concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
+        return concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
 
     module_gradcheck(_make_cell_factory(GRUCell, 3),
                      [_source_array(), _initial_state(GRUCell, 3, num_paths=1)],
@@ -262,7 +259,7 @@ def _run_both_modes(cell_cls, hidden, step_sources, step_rows, mask, scatter):
                                      scatter=scatter, compiled=compiled)
         weights = np.random.default_rng(17).normal(
             size=NUM_SEGMENTS * final.shape[1] + initial.data.size)
-        combined = F.concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
+        combined = concat([aggregated.reshape(-1), final.reshape(-1)], axis=0)
         (combined * weights).sum().backward()
         grads = {name: p.grad.copy() for name, p in cell.named_parameters()}
         return (aggregated.data.copy(), final.data.copy(),
@@ -541,13 +538,17 @@ class _TanhCell(RNNCellBase):
         return (inputs.matmul(self.weight) + state).tanh()
 
 
+class _TweakedGRU(GRUCell):
+    """A GRU subclass: it may override forward(), so it never compiles."""
+
+
 def test_unknown_cell_has_no_kernel_and_falls_back():
-    """A custom cell and the LSTM cell have no kernel: a compiled spec runs
+    """A custom cell and a GRU subclass have no kernel: a compiled spec runs
     them through the interpreted scan, bit for bit, with gradients."""
     spec = compile_scan_spec(STEP_SOURCES, STEP_ROWS, MASK, SCATTER)
     cells = [(_TanhCell(INPUT_DIM, 3, rng=np.random.default_rng(3)),
               np.zeros((NUM_PATHS, 3))),
-             (_make_cell_factory(LSTMCell, 2)(), _initial_state(LSTMCell, 2))]
+             (_make_cell_factory(_TweakedGRU, 3)(), _initial_state(_TweakedGRU, 3))]
     for cell, initial_array in cells:
         assert compile_step_kernel(cell) is None
         source = Tensor(_source_array(), requires_grad=True)
@@ -567,10 +568,7 @@ def test_unknown_cell_has_no_kernel_and_falls_back():
 
 def test_kernel_not_compiled_for_subclasses():
     """Subclasses may override forward(), so only the exact classes compile."""
-    class TweakedGRU(GRUCell):
-        pass
-
-    assert compile_step_kernel(TweakedGRU(INPUT_DIM, 3)) is None
+    assert compile_step_kernel(_TweakedGRU(INPUT_DIM, 3)) is None
 
 
 def test_spec_shape_mismatch_rejected():

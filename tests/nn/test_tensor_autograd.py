@@ -162,6 +162,10 @@ class TestShapeOps:
         indices = np.array([[0, 1], [2, 0]])
         check_gradient(lambda x: (x.gather(indices) ** 2).sum(), RNG.normal(size=(3, 2)))
 
+    def test_gather_values(self):
+        out = Tensor(np.arange(6).reshape(3, 2)).gather(np.array([2, 0]))
+        np.testing.assert_allclose(out.data, [[4, 5], [0, 1]])
+
     def test_concat(self):
         b = Tensor(RNG.normal(size=(2, 3)))
         check_gradient(lambda x: (concat([x, b], axis=0) ** 2).sum(), RNG.normal(size=(3, 3)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.routing import RoutingScheme
 from repro.topology import (
     Topology,
     assign_queue_sizes,
@@ -58,6 +59,22 @@ class TestTopologyBasics:
                        if u != v and not topology.has_link(u, v))
         with pytest.raises(KeyError, match="no link"):
             topology.link_index(*missing)
+
+    def test_has_link_follows_link_direction(self):
+        """A one-way link answers for its own direction only, and a route
+        over it the other way is refused."""
+        topology = Topology("one-way")
+        for node in range(3):
+            topology.add_node(node)
+        topology.add_link(0, 1)
+        topology.add_link(1, 2)
+        assert topology.has_link(0, 1) and topology.has_link(np.int64(1), 2.0)
+        assert not topology.has_link(1, 0)
+        assert not topology.has_link(0, 2)
+        assert not topology.has_link(0, 7)
+        RoutingScheme(topology, {(0, 2): [0, 1, 2]})
+        with pytest.raises(ValueError, match="missing link 2->1"):
+            RoutingScheme(topology, {(2, 0): [2, 1, 0]})
 
     def test_queue_sizes(self):
         topology = self.make_triangle()

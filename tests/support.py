@@ -43,14 +43,14 @@ def float_tolerance(float64_tol: float = 1e-9, float32_tol: float = 1e-4) -> flo
     return float64_tol if np.dtype(get_default_dtype()) == np.float64 else float32_tol
 
 
-def replica_gradients(model, flat_params, batches, loss: str = "mse") -> list:
+def replica_gradients(model, flat_params, batches) -> list:
     """Each batch's ``(flat_gradient, loss, num_paths)`` computed in this
     process by the gradient workers' kernel, on a pickled replica of
     ``model`` holding ``flat_params``: the reference a
     :class:`~repro.nn.parallel.GradientWorkerPool` group must equal."""
     replica = pickle.loads(pickle.dumps(model))
     replica.load_parameters_vector(flat_params)
-    return [_compute_gradient(replica, batch, loss) for batch in batches]
+    return [_compute_gradient(replica, batch) for batch in batches]
 
 
 @contextlib.contextmanager
