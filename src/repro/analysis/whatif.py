@@ -1,17 +1,17 @@
 """What-if analysis: querying a trained RouteNet model for new scenarios.
 
 A trained model plus its normaliser form a *network model* in the paper's
-sense: a function from (topology, routing, traffic) to per-path performance.
+sense: a function from (topology, routing, traffic) to per-path delay.
 :class:`WhatIfAnalyzer` wraps that function with the conveniences an
 operator (or an optimisation loop) needs: evaluating candidate routings or
 traffic matrices, ranking alternatives and summarising the predicted
-performance.
+delays.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,11 +44,10 @@ def make_scenario_sample(topology: Topology, routing: RoutingScheme,
 
 @dataclasses.dataclass
 class ScenarioPrediction:
-    """Per-path predictions of one what-if scenario."""
+    """Per-path predicted delays (seconds) of one what-if scenario."""
 
     pair_order: List[Tuple[int, int]]
     values: np.ndarray
-    metric: str
 
     @property
     def mean(self) -> float:
@@ -63,39 +62,39 @@ class ScenarioPrediction:
         return float(self.values[self.pair_order.index((source, destination))])
 
     def worst_pairs(self, top_k: int = 5) -> List[Tuple[Tuple[int, int], float]]:
-        """The ``top_k`` pairs with the highest predicted metric."""
+        """The ``top_k`` pairs with the highest predicted delay."""
         order = np.argsort(self.values)[::-1][:top_k]
         return [(self.pair_order[int(i)], float(self.values[int(i)])) for i in order]
 
 
 class WhatIfAnalyzer:
-    """Answer what-if questions with a trained RouteNet-family model."""
+    """Answer what-if questions with a trained RouteNet-family model.
 
-    def __init__(self, model: Module, normalizer: FeatureNormalizer,
-                 metric: str = "delay") -> None:
-        if metric not in ("delay", "jitter", "loss"):
-            raise ValueError("metric must be 'delay', 'jitter' or 'loss'")
+    ``normalizer`` must be the fitted normaliser the model was trained
+    with; every query is tensorised with it by
+    :func:`~repro.datasets.tensorize.tensorize_sample`, and the model's
+    output is denormalised into per-path delays.
+    """
+
+    def __init__(self, model: Module, normalizer: FeatureNormalizer) -> None:
         if not normalizer.fitted:
             raise ValueError("the normalizer must be fitted (use the training normaliser)")
         self.model = model
         self.normalizer = normalizer
-        self.metric = metric
 
     # ------------------------------------------------------------------ #
     def predict(self, topology: Topology, routing: RoutingScheme,
                 traffic: TrafficMatrix) -> ScenarioPrediction:
-        """Predict the metric for every path of a scenario."""
+        """Predict the delay of every path of a scenario."""
         sample = make_scenario_sample(topology, routing, traffic)
-        tensorized = tensorize_sample(sample, self.normalizer, target="delay")
-        normalised = self.model.predict(tensorized)
-        values = self.normalizer.denormalize(self.metric, normalised)
-        return ScenarioPrediction(pair_order=sample.pair_order, values=values,
-                                  metric=self.metric)
+        normalised = self.model.predict(tensorize_sample(sample, self.normalizer))
+        return ScenarioPrediction(pair_order=sample.pair_order,
+                                  values=self.normalizer.denormalize("delay", normalised))
 
     def compare_routings(self, topology: Topology, traffic: TrafficMatrix,
                          candidates: Dict[str, RoutingScheme]
                          ) -> List[Dict[str, object]]:
-        """Evaluate candidate routing schemes and rank them by mean predicted metric."""
+        """Evaluate candidate routing schemes and rank them by mean predicted delay."""
         if not candidates:
             raise ValueError("no candidate routings given")
         rows = []
@@ -113,7 +112,7 @@ class WhatIfAnalyzer:
     def traffic_sweep(self, topology: Topology, routing: RoutingScheme,
                       base_traffic: TrafficMatrix,
                       scale_factors: Sequence[float]) -> List[Dict[str, float]]:
-        """Predict the metric while uniformly scaling the traffic matrix.
+        """Predict the delays while uniformly scaling the traffic matrix.
 
         Useful to locate the load level at which performance degrades — the
         classic capacity-planning question.
@@ -129,5 +128,5 @@ class WhatIfAnalyzer:
 
     def best_routing(self, topology: Topology, traffic: TrafficMatrix,
                      candidates: Dict[str, RoutingScheme]) -> str:
-        """Name of the candidate routing with the lowest mean predicted metric."""
+        """Name of the candidate routing with the lowest mean predicted delay."""
         return self.compare_routings(topology, traffic, candidates)[0]["name"]

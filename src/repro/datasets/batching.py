@@ -23,12 +23,12 @@ __all__ = ["merge_tensorized_samples", "plan_batches", "make_batches"]
 def merge_tensorized_samples(samples: Sequence[TensorizedSample]) -> TensorizedSample:
     """Merge tensorised samples into one batched :class:`TensorizedSample`.
 
-    All samples must share the same ``target_name``.  The merged sample's
-    links/nodes/paths are the disjoint union of the inputs'; sequences are
-    padded to the longest path in the batch.  The result is always a fresh
-    :class:`TensorizedSample` sharing no arrays with the inputs — a
-    single-sample "merge" returns a defensive copy, so the short last batch
-    of an epoch never aliases a cached per-sample tensorisation.  The merged
+    The merged sample's links/nodes/paths are the disjoint union of the
+    inputs'; sequences are padded to the longest path in the batch.  The
+    result is always a fresh :class:`TensorizedSample` sharing no arrays
+    with the inputs — a single-sample "merge" returns a defensive copy, so
+    the short last batch of an epoch never aliases a per-sample
+    tensorisation the trainer keeps for the next epoch.  The merged
     ``sample_path_offsets`` record the per-scenario path boundaries (already
     merged inputs contribute their own boundaries), so predictions can be
     mapped back to scenarios with :meth:`TensorizedSample.unmerge`.
@@ -36,8 +36,6 @@ def merge_tensorized_samples(samples: Sequence[TensorizedSample]) -> TensorizedS
     samples = list(samples)
     if not samples:
         raise ValueError("cannot merge an empty list of samples")
-    if len({s.target_name for s in samples}) != 1:
-        raise ValueError("samples must share the same target metric")
 
     offsets: List[int] = [0]
     for sample in samples:
@@ -58,8 +56,6 @@ def merge_tensorized_samples(samples: Sequence[TensorizedSample]) -> TensorizedS
     path_features = np.concatenate([s.path_features for s in samples], axis=0)
     targets = np.concatenate([s.targets for s in samples])
     raw_delays = np.concatenate([s.raw_delays for s in samples])
-    raw_targets = np.concatenate([
-        s.raw_targets if s.raw_targets is not None else s.raw_delays for s in samples])
     path_lengths = np.concatenate([s.path_lengths for s in samples])
 
     link_sequences = np.zeros((total_paths, max_len), dtype=np.int64)
@@ -100,8 +96,6 @@ def merge_tensorized_samples(samples: Sequence[TensorizedSample]) -> TensorizedS
         targets=targets,
         raw_delays=raw_delays,
         pair_order=pair_order,
-        target_name=samples[0].target_name,
-        raw_targets=raw_targets,
         sample_path_offsets=np.asarray(offsets, dtype=np.int64),
     )
     merged.validate()

@@ -18,6 +18,7 @@ import numpy as np
 from repro.datasets.analytic import AnalyticGroundTruth
 from repro.datasets.sample import Sample
 from repro.datasets.simulation import SimulationGroundTruth
+from repro.routing.scheme import RoutingScheme
 from repro.routing.shortest_path import random_variation_routing, shortest_path_routing
 from repro.topology.generators import assign_queue_sizes
 from repro.topology.graph import DEFAULT_QUEUE_SIZE, SMALL_QUEUE_SIZE, Topology
@@ -99,11 +100,21 @@ class DatasetConfig:
 
 
 class DatasetGenerator:
-    """Generates datasets of :class:`Sample` objects for one base topology."""
+    """Generates datasets of :class:`Sample` objects for one base topology.
+
+    Every sample copies the base topology's links and only redraws queue
+    sizes, so with ``routing_variation=1`` the hop-count shortest paths are
+    the same for every sample: they are computed once, here, and each
+    sample's :class:`RoutingScheme` is built (and validated) from them
+    against its own topology.
+    """
 
     def __init__(self, base_topology: Topology, config: Optional[DatasetConfig] = None) -> None:
         self.base_topology = base_topology
         self.config = config if config is not None else DatasetConfig()
+        self._shortest_paths = (
+            dict(shortest_path_routing(base_topology).items())
+            if self.config.routing_variation == 1 else None)
         if self.config.backend == "analytic":
             self._ground_truth = AnalyticGroundTruth(
                 mean_packet_size_bits=self.config.mean_packet_size_bits,
@@ -133,7 +144,7 @@ class DatasetGenerator:
         if config.routing_variation > 1:
             routing = random_variation_routing(topology, k=config.routing_variation, rng=rng)
         else:
-            routing = shortest_path_routing(topology)
+            routing = RoutingScheme(topology, self._shortest_paths)
 
         if config.traffic_model == "gravity":
             traffic = gravity_traffic(topology.num_nodes, total_traffic=1.0, rng=rng)

@@ -1,4 +1,9 @@
-"""Feature and target normalisation fitted on a training set."""
+"""Feature and target normalisation fitted on a training set.
+
+A fitted :class:`FeatureNormalizer` is what
+:func:`repro.datasets.tensorize.tensorize_sample` needs to turn a scenario
+into model input; it holds statistics only and keeps no tensorisations.
+"""
 
 from __future__ import annotations
 
@@ -21,34 +26,24 @@ class FeatureNormalizer:
     * link capacities (bits/s),
     * node queue sizes (packets),
     * per-path traffic demands (bits/s),
-    * per-path delays, jitters and loss ratios (the regression targets).
+    * per-path delays (the regression target), jitters and loss ratios.
 
     Jitter and loss statistics are only collected from samples that carry
     them; datasets without those measurements fall back to identity scaling
-    for the missing fields.
+    for the missing fields.  The models train on delay alone, but every
+    statistic is recorded, so stores and manifests keep one layout.
     """
 
     _FIELDS = ("capacity", "queue_size", "traffic", "delay", "jitter", "loss")
-
-    #: Upper bound on memoised tensorisations; large enough for every
-    #: dataset in the repo, small enough that a long-lived normaliser fed a
-    #: stream of fresh samples cannot grow without limit (oldest evicted).
-    _TENSORIZE_CACHE_LIMIT = 4096
 
     def __init__(self) -> None:
         self.means: Dict[str, float] = {}
         self.stds: Dict[str, float] = {}
         self.fitted = False
-        # Memoised tensorisations keyed by (id(sample), target, dtype); the
-        # sample object is kept in the value so its id cannot be recycled.
-        self._tensorize_cache: Dict = {}
 
     # ------------------------------------------------------------------ #
     def fit(self, samples: Iterable[Sample]) -> "FeatureNormalizer":
         """Estimate means and standard deviations from ``samples``."""
-        # Re-fitting changes the normalisation constants, so any memoised
-        # tensorisations scaled with the old statistics are stale.
-        self.clear_tensorize_cache()
         collected: Dict[str, List[float]] = {name: [] for name in self._FIELDS}
         count = 0
         for sample in samples:
@@ -95,37 +90,6 @@ class FeatureNormalizer:
         if field not in self.means:
             raise KeyError(f"unknown field '{field}'")
         return np.asarray(values, dtype=np.float64) * self.stds[field] + self.means[field]
-
-    # ------------------------------------------------------------------ #
-    def tensorize(self, sample: Sample, target: str = "delay", dtype=None):
-        """Tensorise ``sample`` with this normaliser, memoising the result.
-
-        Tensorisation depends only on the sample, the (immutable once
-        fitted) normalisation constants, the target metric and the dtype —
-        so the trainer's :meth:`~repro.models.trainer.RouteNetTrainer.prepare`
-        and :func:`~repro.models.trainer.evaluate_model` share one
-        tensorisation per (sample, target, dtype) instead of rebuilding the
-        padded arrays on every call (the fig. 2 pipeline previously
-        tensorised every evaluation sample twice).
-        """
-        from repro.datasets.tensorize import tensorize_sample
-        from repro.nn.tensor import resolve_dtype
-
-        self._require_fitted()
-        resolved = resolve_dtype(dtype)
-        key = (id(sample), target, resolved.str)
-        hit = self._tensorize_cache.get(key)
-        if hit is not None and hit[0] is sample:
-            return hit[1]
-        tensorized = tensorize_sample(sample, self, target=target, dtype=resolved)
-        while len(self._tensorize_cache) >= self._TENSORIZE_CACHE_LIMIT:
-            self._tensorize_cache.pop(next(iter(self._tensorize_cache)))
-        self._tensorize_cache[key] = (sample, tensorized)
-        return tensorized
-
-    def clear_tensorize_cache(self) -> None:
-        """Drop all memoised tensorisations (frees their arrays)."""
-        self._tensorize_cache.clear()
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict:

@@ -8,12 +8,12 @@ membership and visit order), merges the batches in visit order and hands
 them to the trainer through a bounded queue.  ``RouteNetTrainer.fit``'s two
 sources differ only in their items, their window and their merge:
 
-* in memory, the items are the trainer's memoised tensorisations and one
-  window covers the dataset.  A :class:`MergeMemo` keeps each merged batch
-  for as long as consecutive epochs merge the same members, so batches
-  whose membership is fixed (bucketing, ``shuffle=False``,
-  ``batch_size=1``) are merged, and their message-passing plans built,
-  once per fit;
+* in memory, the items are the tensorisations the trainer builds once per
+  fit, before the first epoch, and one window covers the dataset.  A
+  :class:`MergeMemo` keeps each merged batch for as long as consecutive
+  epochs merge the same members, so batches whose membership is fixed
+  (bucketing, ``shuffle=False``, ``batch_size=1``) are merged, and their
+  message-passing plans built, once per fit;
 * out of core, the items are :func:`tensorize_stream` over one pass of a
   :class:`~repro.datasets.sharded.ShardedDatasetReader`, tensorised in the
   producer thread, and nothing is memoised, so at any moment only
@@ -61,12 +61,12 @@ Merge = Callable[[Sequence[TensorizedSample]], TensorizedSample]
 
 
 def tensorize_stream(samples: Iterable[Sample], normalizer: FeatureNormalizer,
-                     target: str = "delay", dtype=None) -> Iterator[TensorizedSample]:
-    """Tensorise ``samples`` one at a time, in whichever thread consumes
-    the stream.  Nothing is memoised: a streamed epoch must not accumulate
-    the tensorisations it has already merged."""
+                     dtype=None) -> Iterator[TensorizedSample]:
+    """:func:`~repro.datasets.tensorize.tensorize_sample` over ``samples``,
+    one at a time, in whichever thread consumes the stream, so a streamed
+    epoch never holds the tensorisations it has already merged."""
     for sample in samples:
-        yield tensorize_sample(sample, normalizer, target=target, dtype=dtype)
+        yield tensorize_sample(sample, normalizer, dtype=dtype)
 
 
 class MergeMemo:
@@ -74,11 +74,12 @@ class MergeMemo:
     consecutive epochs merge the same members in the same order.
 
     Only for items that outlive the fit's epochs (the in-memory source's
-    memoised tensorisations), so equal ids mean equal members.  An epoch
-    looks its batches up among those the previous epoch used and keeps the
-    ones it uses itself; call :meth:`end_epoch` between epochs.  Fixed
-    membership therefore merges once per fit, while shuffled membership
-    misses and the previous epoch's batches are dropped one epoch later.
+    tensorisations, held for the whole fit), so equal ids mean equal
+    members.  An epoch looks its batches up among those the previous epoch
+    used and keeps the ones it uses itself; call :meth:`end_epoch` between
+    epochs.  Fixed membership therefore merges once per fit, while
+    shuffled membership misses and the previous epoch's batches are
+    dropped one epoch later.
     """
 
     def __init__(self) -> None:

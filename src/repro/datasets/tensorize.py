@@ -13,6 +13,11 @@ index matrices, mirroring how the reference TensorFlow implementation feeds
   (the device whose output queue the packet waits in, 0-padded);
 * ``sequence_mask``   (num_paths, max_len) — 1 for real hops, 0 for padding;
 * ``targets``         (num_paths,)     — normalised delays.
+
+Every feature and the target are z-scored by the training set's
+:class:`~repro.datasets.normalization.FeatureNormalizer`, so a normaliser
+is required.  The target is always the per-path delay, the one quantity
+both models predict.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ __all__ = ["TensorizedSample", "tensorize_sample"]
 
 @dataclasses.dataclass
 class TensorizedSample:
-    """Dense arrays describing one sample for the models.
+    """Dense arrays describing one sample for the models, as
+    :func:`tensorize_sample` builds them: ``targets`` holds the normalised
+    per-path delays and ``raw_delays`` the measured ones.
 
     A *merged* sample (see :mod:`repro.datasets.batching`) is the disjoint
     union of several scenarios; ``sample_path_offsets`` then records the path
@@ -50,10 +57,6 @@ class TensorizedSample:
     targets: np.ndarray
     raw_delays: np.ndarray
     pair_order: List[Tuple[int, int]]
-    #: Which per-path metric ``targets`` holds ("delay", "jitter" or "loss").
-    target_name: str = "delay"
-    #: The un-normalised values of the selected target metric.
-    raw_targets: Optional[np.ndarray] = None
     #: Cumulative path boundaries of the merged scenarios, shape
     #: ``(num_merged_samples + 1,)`` starting at 0 and ending at ``num_paths``.
     #: ``None`` means the sample is a single, unmerged scenario.
@@ -192,24 +195,19 @@ def _link_table(topology) -> np.ndarray:
     return table
 
 
-def tensorize_sample(sample: Sample, normalizer: Optional[FeatureNormalizer] = None,
-                     target: str = "delay", dtype: DTypeLike = None) -> TensorizedSample:
-    """Build the dense arrays for one sample.
+def tensorize_sample(sample: Sample, normalizer: FeatureNormalizer,
+                     dtype: DTypeLike = None) -> TensorizedSample:
+    """Build the dense model input for one sample: the one way a scenario
+    becomes model input, for training, evaluation and prediction alike.
 
-    When ``normalizer`` is ``None`` the raw physical values are used
-    (useful for inspection); models should always receive normalised data.
-
-    ``target`` selects the regression target: ``"delay"`` (default),
-    ``"jitter"`` or ``"loss"`` — the sample must carry the requested metric.
+    ``normalizer`` (fitted on the training set) z-scores the capacities,
+    queue sizes and traffic, and the per-path delays that form the target.
 
     ``dtype`` selects the floating precision of the model-facing arrays
     (features, mask and normalised targets); ``None`` uses the
-    :func:`repro.nn.tensor.get_default_dtype` default.  The raw
-    (denormalised) measurement arrays always stay float64 so evaluation
-    metrics are not quantised by a float32 training run.
+    :func:`repro.nn.tensor.get_default_dtype` default.  ``raw_delays``
+    stays float64, so a float32 run does not quantise evaluation metrics.
     """
-    if target not in ("delay", "jitter", "loss"):
-        raise ValueError(f"unknown target '{target}'")
     dtype = resolve_dtype(dtype)
     topology = sample.topology
     routing = sample.routing
@@ -220,16 +218,6 @@ def tensorize_sample(sample: Sample, normalizer: Optional[FeatureNormalizer] = N
                            dtype=np.float64)
     traffic = sample.traffic.as_vector(pair_order)
     delays = sample.delays.copy()
-    if target == "delay":
-        raw_targets = delays.copy()
-    elif target == "jitter":
-        if sample.jitters is None:
-            raise ValueError("sample carries no jitter measurements")
-        raw_targets = sample.jitters.copy()
-    else:
-        if sample.losses is None:
-            raise ValueError("sample carries no loss measurements")
-        raw_targets = sample.losses.copy()
 
     # One pass over the routing gathers every path's nodes into a padded
     # matrix.  Hop h leaves nodes[h], whose output queue the packet waits
@@ -252,34 +240,20 @@ def tensorize_sample(sample: Sample, normalizer: Optional[FeatureNormalizer] = N
     node_sequences = np.where(valid, senders, 0)
     mask = valid.astype(dtype)
 
-    if normalizer is not None:
-        link_features = normalizer.normalize("capacity", capacities)[:, None]
-        node_features = normalizer.normalize("queue_size", queue_sizes)[:, None]
-        path_features = normalizer.normalize("traffic", traffic)[:, None]
-        targets = normalizer.normalize(target, raw_targets)
-    else:
-        link_features = capacities[:, None]
-        node_features = queue_sizes[:, None]
-        path_features = traffic[:, None]
-        targets = raw_targets.copy()
-    link_features = link_features.astype(dtype, copy=False)
-    node_features = node_features.astype(dtype, copy=False)
-    path_features = path_features.astype(dtype, copy=False)
-    targets = targets.astype(dtype, copy=False)
+    def column(field, values):
+        return normalizer.normalize(field, values)[:, None].astype(dtype, copy=False)
 
     tensorized = TensorizedSample(
-        link_features=link_features,
-        node_features=node_features,
-        path_features=path_features,
+        link_features=column("capacity", capacities),
+        node_features=column("queue_size", queue_sizes),
+        path_features=column("traffic", traffic),
         link_sequences=link_sequences,
         node_sequences=node_sequences,
         sequence_mask=mask,
         path_lengths=lengths,
-        targets=targets,
+        targets=normalizer.normalize("delay", delays).astype(dtype, copy=False),
         raw_delays=delays,
         pair_order=pair_order,
-        target_name=target,
-        raw_targets=raw_targets,
     )
     tensorized.validate()
     return tensorized

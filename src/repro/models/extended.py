@@ -36,7 +36,7 @@ from repro.models.message_passing import (
 from repro.models.readout import ReadoutMLP
 from repro.nn.module import Module
 from repro.nn.recurrent import GRUCell, scan_rnn
-from repro.nn.tensor import Tensor, default_dtype, resolve_dtype
+from repro.nn.tensor import Tensor, default_dtype, no_grad, resolve_dtype
 
 __all__ = ["ExtendedRouteNet"]
 
@@ -126,13 +126,5 @@ class ExtendedRouteNet(Module):
     # ------------------------------------------------------------------ #
     def predict(self, sample: TensorizedSample) -> np.ndarray:
         """Inference helper returning a NumPy array (no autograd graph)."""
-        from repro.nn.tensor import no_grad
-
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                predictions = self.forward(sample)
-        finally:
-            self.train(was_training)
-        return predictions.data.copy()
+        with no_grad():
+            return self.forward(sample).data.copy()

@@ -33,10 +33,9 @@ __all__ = ["TrainerConfig", "RouteNetTrainer", "evaluate_model"]
 class TrainerConfig:
     """Hyper-parameters of RouteNet training.
 
-    Training minimises the mean squared error of the normalised targets
-    with Adam at a constant ``learning_rate``.  ``target`` selects which
-    per-path metric the model regresses: ``"delay"`` (the paper's Fig. 2
-    experiment), ``"jitter"`` or ``"loss"``.
+    Training minimises the mean squared error of the normalised per-path
+    delays (the one target, as in the paper) with Adam at a constant
+    ``learning_rate``.
 
     ``dtype`` selects the floating precision the samples are tensorised at
     ("float32", "float64" or ``None`` for the process default).  It should
@@ -107,7 +106,6 @@ class TrainerConfig:
 
     epochs: int = 20
     learning_rate: float = 0.001
-    target: str = "delay"
     gradient_clip_norm: float = 1.0
     shuffle: bool = True
     batch_size: int = 1
@@ -128,8 +126,6 @@ class TrainerConfig:
             raise ValueError("batch_size must be at least 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.target not in ("delay", "jitter", "loss"):
-            raise ValueError("target must be 'delay', 'jitter' or 'loss'")
         if self.gradient_clip_norm < 0:
             raise ValueError("gradient_clip_norm must be non-negative")
         if self.early_stopping_patience is not None and self.early_stopping_patience < 1:
@@ -166,16 +162,12 @@ class RouteNetTrainer:
 
     # ------------------------------------------------------------------ #
     def prepare(self, samples: Sequence[Sample]) -> List[TensorizedSample]:
-        """Tensorise samples with the trainer's normaliser (fitting it if needed).
-
-        Tensorisations are memoised on the normaliser, so repeated calls
-        over the same samples (``fit`` invoked twice, validation sets,
-        post-training evaluation) reuse the cached arrays.
-        """
+        """Tensorise samples with the trainer's normaliser (fitting it on
+        ``samples`` if the trainer has none) at ``config.dtype``: one
+        :func:`~repro.datasets.tensorize.tensorize_sample` call each."""
         if self.normalizer is None:
             self.normalizer = FeatureNormalizer().fit(samples)
-        return [self.normalizer.tensorize(sample, target=self.config.target,
-                                          dtype=self.config.dtype)
+        return [tensorize_sample(sample, self.normalizer, dtype=self.config.dtype)
                 for sample in samples]
 
     # ------------------------------------------------------------------ #
@@ -282,11 +274,11 @@ class RouteNetTrainer:
         producer thread:
 
         * ``train_samples`` — the in-memory path: every sample is tensorised
-          once, before the first epoch (memoised by the normaliser), and
-          one window covers the dataset.  Merged batches are kept while
-          consecutive epochs reuse them, so with fixed batch membership
-          (bucketing, ``shuffle=False`` or ``batch_size=1``) each batch is
-          merged, and its message-passing plan built, once per fit.
+          once, before the first epoch, and one window covers the dataset.
+          Merged batches are kept while consecutive epochs reuse them, so
+          with fixed batch membership (bucketing, ``shuffle=False`` or
+          ``batch_size=1``) each batch is merged, and its message-passing
+          plan built, once per fit.
         * ``dataset_path`` — the **out-of-core** path: the path of a sharded
           dataset store (see :mod:`repro.datasets.sharded`), tensorised in
           the producer thread as it is read, so only
@@ -389,8 +381,7 @@ class RouteNetTrainer:
             for epoch in range(start_epoch + 1, start_epoch + self.config.epochs + 1):
                 start = time.perf_counter()
                 items = (train_items if reader is None else tensorize_stream(
-                    reader, self.normalizer, target=self.config.target,
-                    dtype=self.config.dtype))
+                    reader, self.normalizer, dtype=self.config.dtype))
                 losses, weights, number = [], [], 0
                 # Leaving the block joins the producer, which draws from
                 # self._rng, before anything else touches it.
@@ -551,11 +542,12 @@ class RouteNetTrainer:
         # settings this version no longer has (``overlap``, a pipelining
         # switch, and ``parallel_backend``, an engine choice; neither ever
         # changed an update) are ignored.  stream_window must match because
-        # it decides streamed batch membership.  ``loss`` is no longer a
-        # setting either, but it changed the objective: every run now
-        # trains on MSE, so only a checkpoint that recorded "mse" resumes.
+        # it decides streamed batch membership.  ``loss`` and ``target`` are
+        # no longer settings either, but they changed the objective: every
+        # run now trains on the MSE of delay, so only a checkpoint that
+        # recorded "mse" and "delay" resumes.
         saved_config = metadata.get("trainer_config", {})
-        settings = dict(dataclasses.asdict(self.config), loss="mse")
+        settings = dict(dataclasses.asdict(self.config), loss="mse", target="delay")
         mismatched = {
             field: (saved_config[field], settings[field])
             for field in ("loss", "target", "dtype", "batch_size",
@@ -600,52 +592,35 @@ class RouteNetTrainer:
         return metadata
 
     # ------------------------------------------------------------------ #
-    def predict_metric(self, sample: Sample) -> np.ndarray:
-        """Predict the trainer's target metric (denormalised) for one sample."""
+    def predict_delays(self, sample: Sample) -> np.ndarray:
+        """Predict *denormalised* per-path delays (seconds) for one sample."""
         if self.normalizer is None:
             raise RuntimeError("trainer has no normalizer; call fit() or prepare() first")
-        # Deliberately not memoised: prediction is the streaming path (one
-        # fresh sample per call), where caching would only accumulate
-        # tensorisations that are never revisited.
-        tensorized = tensorize_sample(sample, self.normalizer, target=self.config.target,
-                                      dtype=self.config.dtype)
-        normalised = self.model.predict(tensorized)
-        return self.normalizer.denormalize(self.config.target, normalised)
-
-    def predict_delays(self, sample: Sample) -> np.ndarray:
-        """Predict *denormalised* per-path delays (seconds) for one sample.
-
-        Only valid when the trainer's target is ``"delay"``.
-        """
-        if self.config.target != "delay":
-            raise RuntimeError("predict_delays() requires a delay-target trainer; "
-                               "use predict_metric() instead")
-        return self.predict_metric(sample)
+        tensorized = tensorize_sample(sample, self.normalizer, dtype=self.config.dtype)
+        return self.normalizer.denormalize("delay", self.model.predict(tensorized))
 
 
 def evaluate_model(model: Module, samples: Sequence[Sample],
-                   normalizer: FeatureNormalizer, target: str = "delay",
+                   normalizer: FeatureNormalizer,
                    dtype: DTypeLike = None) -> Dict[str, object]:
-    """Evaluate a trained model on samples, reporting paper-style metrics.
+    """Evaluate a trained model's delay predictions on samples, reporting
+    paper-style metrics.
 
-    Returns a dictionary with the concatenated per-path relative errors
-    (``relative_errors``), their mean/median, MAPE, RMSE and Pearson
-    correlation on the denormalised values of ``target`` (delay by default).
-
-    Tensorisations are reused from the normaliser's memo cache when the
-    same samples were already tensorised (by a trainer or a previous
-    evaluation at the same ``target``/``dtype``); metric arithmetic is
-    always float64 regardless of the model precision.
+    Returns a dictionary with the concatenated per-path relative errors of
+    the denormalised delays (``relative_errors``), their mean/median, MAPE,
+    RMSE and Pearson correlation.  Each sample is tensorised once, at
+    ``dtype``; metric arithmetic is always float64 regardless of the model
+    precision.
     """
     if not samples:
         raise ValueError("evaluation needs at least one sample")
     all_predictions: List[np.ndarray] = []
     all_targets: List[np.ndarray] = []
     for sample in samples:
-        tensorized = normalizer.tensorize(sample, target=target, dtype=dtype)
+        tensorized = tensorize_sample(sample, normalizer, dtype=dtype)
         normalised = model.predict(tensorized)
-        all_predictions.append(normalizer.denormalize(target, normalised))
-        all_targets.append(tensorized.raw_targets)
+        all_predictions.append(normalizer.denormalize("delay", normalised))
+        all_targets.append(tensorized.raw_delays)
     predictions = np.concatenate(all_predictions)
     targets = np.concatenate(all_targets)
     errors = nn_metrics.relative_errors(predictions, targets)

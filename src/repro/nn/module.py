@@ -43,7 +43,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training = True
 
     # ------------------------------------------------------------------ #
     # Attribute registration
@@ -170,20 +169,6 @@ class Module:
                     f"shape mismatch for '{name}': expected {param.data.shape}, got {value.shape}"
                 )
             param.data = value.copy()
-
-    # ------------------------------------------------------------------ #
-    # Train / eval mode
-    # ------------------------------------------------------------------ #
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively."""
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set evaluation mode recursively."""
-        return self.train(False)
 
     # ------------------------------------------------------------------ #
     # Forward

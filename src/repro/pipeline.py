@@ -150,8 +150,8 @@ def run_fig2_experiment(
             (generalization_topology.name, generalization_samples),
         ):
             # One evaluate_model call feeds both the metrics table and the
-            # CDF; the normaliser's memo cache means the samples are
-            # tensorised exactly once per (model, topology) pair.
+            # CDF, so the samples are tensorised exactly once per (model,
+            # topology) pair.
             label = f"{model_name}-{topology_name}"
             metrics[label] = evaluate_model(model, eval_samples, trainer.normalizer,
                                             dtype=dtype)

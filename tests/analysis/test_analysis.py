@@ -104,7 +104,6 @@ class TestWhatIfAnalyzer:
         analyzer = WhatIfAnalyzer(model, normalizer)
         prediction = analyzer.predict(topology, routing, traffic)
         assert prediction.values.shape == (routing.num_paths,)
-        assert prediction.metric == "delay"
         assert prediction.mean > 0
         pair = prediction.pair_order[0]
         assert prediction.value(*pair) == pytest.approx(prediction.values[0])
@@ -143,8 +142,6 @@ class TestWhatIfAnalyzer:
 
     def test_validation(self, trained):
         topology, model, normalizer = trained
-        with pytest.raises(ValueError):
-            WhatIfAnalyzer(model, normalizer, metric="throughput")
         with pytest.raises(ValueError):
             WhatIfAnalyzer(model, FeatureNormalizer())
         analyzer = WhatIfAnalyzer(model, normalizer)

@@ -1,4 +1,4 @@
-"""Tests for mini-batch merging and for jitter/loss prediction targets."""
+"""Tests for mini-batch merging and for the normaliser's jitter/loss statistics."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,7 @@ from repro.datasets import (
     tensorize_sample,
 )
 from repro.datasets.batching import make_batches, merge_tensorized_samples
-from repro.models import (
-    ExtendedRouteNet,
-    RouteNet,
-    RouteNetConfig,
-    RouteNetTrainer,
-    TrainerConfig,
-    evaluate_model,
-)
+from repro.models import ExtendedRouteNet, RouteNet, RouteNetConfig
 from repro.topology import linear_topology, ring_topology
 
 SMALL_CONFIG = RouteNetConfig(link_state_dim=6, path_state_dim=6, node_state_dim=6,
@@ -25,11 +18,11 @@ SMALL_CONFIG = RouteNetConfig(link_state_dim=6, path_state_dim=6, node_state_dim
                               seed=0)
 
 
-def _tensorized_list(num_samples=3, num_nodes=5, seed=0, target="delay"):
+def _tensorized_list(num_samples=3, num_nodes=5, seed=0):
     samples = generate_dataset(ring_topology(num_nodes),
                                DatasetConfig(num_samples=num_samples, seed=seed))
     normalizer = FeatureNormalizer().fit(samples)
-    return samples, [tensorize_sample(s, normalizer, target=target) for s in samples]
+    return samples, [tensorize_sample(s, normalizer) for s in samples]
 
 
 class TestMergeTensorizedSamples:
@@ -66,7 +59,7 @@ class TestMergeTensorizedSamples:
         assert merged is not tensorized[0]
         for field in ("link_features", "node_features", "path_features",
                       "link_sequences", "node_sequences", "sequence_mask",
-                      "path_lengths", "targets", "raw_delays", "raw_targets"):
+                      "path_lengths", "targets", "raw_delays"):
             original = getattr(tensorized[0], field)
             copied = getattr(merged, field)
             np.testing.assert_array_equal(copied, original)
@@ -115,14 +108,6 @@ class TestMergeTensorizedSamples:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             merge_tensorized_samples([])
-
-    def test_mixed_targets_rejected(self):
-        samples, _ = _tensorized_list(2)
-        normalizer = FeatureNormalizer().fit(samples)
-        a = tensorize_sample(samples[0], normalizer, target="delay")
-        b = tensorize_sample(samples[1], normalizer, target="jitter")
-        with pytest.raises(ValueError):
-            merge_tensorized_samples([a, b])
 
     def test_model_forward_equivalence(self):
         """Predictions on a merged batch equal per-sample predictions."""
@@ -233,25 +218,8 @@ class TestBucketedBatching:
 
 
 class TestAlternativeTargets:
-    def test_tensorize_jitter_and_loss(self):
-        samples, _ = _tensorized_list(1)
-        normalizer = FeatureNormalizer().fit(samples)
-        jitter = tensorize_sample(samples[0], normalizer, target="jitter")
-        loss = tensorize_sample(samples[0], normalizer, target="loss")
-        assert jitter.target_name == "jitter"
-        np.testing.assert_allclose(jitter.raw_targets, samples[0].jitters)
-        np.testing.assert_allclose(loss.raw_targets, samples[0].losses)
-
-    def test_unknown_target_rejected(self):
-        samples, _ = _tensorized_list(1)
-        with pytest.raises(ValueError):
-            tensorize_sample(samples[0], target="throughput")
-
-    def test_missing_metric_rejected(self):
-        samples, _ = _tensorized_list(1)
-        samples[0].jitters = None
-        with pytest.raises(ValueError):
-            tensorize_sample(samples[0], target="jitter")
+    """The models train on delay alone, but the normaliser still records the
+    jitter and loss statistics every store's manifest carries."""
 
     def test_normalizer_covers_jitter_and_loss(self):
         samples, _ = _tensorized_list(3)
@@ -268,33 +236,3 @@ class TestAlternativeTargets:
             sample.losses = None
         normalizer = FeatureNormalizer().fit(samples)
         assert normalizer.means["jitter"] == 0.0 and normalizer.stds["jitter"] == 1.0
-
-    def test_trainer_jitter_target(self):
-        samples, _ = _tensorized_list(6, seed=5)
-        model = ExtendedRouteNet(SMALL_CONFIG)
-        trainer = RouteNetTrainer(model, TrainerConfig(epochs=4, learning_rate=0.01,
-                                                       target="jitter", seed=5))
-        history = trainer.fit(samples[:5])
-        assert history.train_loss[-1] < history.train_loss[0]
-        predicted = trainer.predict_metric(samples[5])
-        assert predicted.shape == samples[5].jitters.shape
-
-    def test_predict_delays_guard(self):
-        samples, _ = _tensorized_list(2, seed=6)
-        model = RouteNet(SMALL_CONFIG)
-        trainer = RouteNetTrainer(model, TrainerConfig(epochs=1, target="jitter"))
-        trainer.fit(samples)
-        with pytest.raises(RuntimeError):
-            trainer.predict_delays(samples[0])
-
-    def test_trainer_target_validation(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(target="throughput")
-
-    def test_evaluate_model_on_jitter(self):
-        samples, _ = _tensorized_list(4, seed=7)
-        model = ExtendedRouteNet(SMALL_CONFIG)
-        trainer = RouteNetTrainer(model, TrainerConfig(epochs=2, target="jitter"))
-        trainer.fit(samples[:3])
-        metrics = evaluate_model(model, samples[3:], trainer.normalizer, target="jitter")
-        assert metrics["num_paths"] == samples[3].num_paths

@@ -21,6 +21,7 @@ from repro.datasets import (
 from repro.routing import shortest_path_routing
 from repro.topology import geant2_topology, linear_topology, nsfnet_topology, ring_topology
 from repro.traffic import TrafficMatrix, scaled_to_utilization, uniform_traffic
+from tests.support import float_tolerance
 
 
 def _small_scenario(num_nodes=5, utilization=0.5, seed=0, queue_sizes=None):
@@ -177,6 +178,18 @@ class TestDatasetGenerator:
         low, high = config.utilization_range
         assert low <= sample.metadata["target_utilization"] <= high
 
+    def test_shortest_path_routes_bound_to_each_sample(self):
+        """The routes are computed once per generator, yet every sample's
+        scheme is its own, built against that sample's topology, and equals
+        shortest-path routing of it."""
+        samples = generate_dataset(nsfnet_topology(), DatasetConfig(num_samples=2, seed=5))
+        first, second = samples
+        assert first.routing is not second.routing
+        for sample in samples:
+            assert sample.routing.topology is sample.topology
+            assert (sample.routing.to_dict()
+                    == shortest_path_routing(sample.topology).to_dict())
+
     def test_gravity_traffic_and_routing_variation(self):
         config = DatasetConfig(num_samples=2, traffic_model="gravity",
                                routing_variation=2, seed=3)
@@ -244,28 +257,6 @@ class TestNormalizer:
         np.testing.assert_allclose(rebuilt.normalize("delay", values),
                                    normalizer.normalize("delay", values))
 
-    def test_tensorize_memoised_per_sample_target_dtype(self):
-        samples = self._samples()
-        normalizer = FeatureNormalizer().fit(samples)
-        first = normalizer.tensorize(samples[0])
-        assert normalizer.tensorize(samples[0]) is first
-        assert normalizer.tensorize(samples[1]) is not first
-        # A different precision is a different cache entry (pick the dtype
-        # that is NOT the suite default so this holds under REPRO_DTYPE).
-        other = "float32" if first.targets.dtype == np.float64 else "float64"
-        assert normalizer.tensorize(samples[0], dtype=other) is not first
-        assert normalizer.tensorize(samples[0], dtype=other).targets.dtype == np.dtype(other)
-
-    def test_refit_invalidates_tensorize_cache(self):
-        samples = self._samples()
-        normalizer = FeatureNormalizer().fit(samples[:2])
-        stale = normalizer.tensorize(samples[0])
-        normalizer.fit(samples)  # different statistics
-        fresh = normalizer.tensorize(samples[0])
-        assert fresh is not stale
-        np.testing.assert_allclose(
-            fresh.targets, tensorize_sample(samples[0], normalizer).targets)
-
 
 class TestTensorize:
     def _tensorized(self, topology=None):
@@ -294,23 +285,17 @@ class TestTensorize:
         np.testing.assert_array_equal(tensorized.node_sequences[row, :length], expected_nodes)
         assert tensorized.sequence_mask[row, length:].sum() == 0
 
-    def test_unnormalized_passthrough(self):
-        topology = linear_topology(3, capacity=5e6)
-        routing = shortest_path_routing(topology)
-        traffic = uniform_traffic(3, 1e5, 2e5, rng=np.random.default_rng(0))
-        sample = AnalyticGroundTruth(noise_std=0.0).generate(topology, routing, traffic)
-        tensorized = tensorize_sample(sample, normalizer=None)
-        np.testing.assert_allclose(tensorized.link_features[:, 0], 5e6)
-        np.testing.assert_allclose(tensorized.raw_delays, sample.delays)
-
     def test_node_feature_is_queue_size(self):
         topology = linear_topology(3)
         topology.set_queue_size(1, 1)
         routing = shortest_path_routing(topology)
         traffic = uniform_traffic(3, 1e5, 2e5, rng=np.random.default_rng(0))
         sample = AnalyticGroundTruth(noise_std=0.0).generate(topology, routing, traffic)
-        tensorized = tensorize_sample(sample, normalizer=None)
-        np.testing.assert_allclose(tensorized.node_features[:, 0], [32, 1, 32])
+        normalizer = FeatureNormalizer().fit([sample])
+        tensorized = tensorize_sample(sample, normalizer)
+        np.testing.assert_allclose(tensorized.node_features[:, 0],
+                                   normalizer.normalize("queue_size", [32, 1, 32]),
+                                   rtol=float_tolerance())
 
     @given(st.integers(3, 7), st.integers(0, 3))
     @settings(max_examples=15, deadline=None)

@@ -209,6 +209,36 @@ def test_checkpoint_recording_another_loss_is_refused(samples, tmp_path):
         _trainer(1).load_checkpoint(path)
 
 
+def test_checkpoint_recording_the_delay_target_loads(samples, tmp_path):
+    """Every checkpoint written while ``target`` was a setting records it;
+    one that recorded "delay", the one target every run now trains on,
+    loads and resumes bit-exactly."""
+    trainer = _trainer(1)
+    trainer.fit(samples)
+    path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
+    _record_settings(path, target="delay")
+    restored = _trainer(1)
+    restored.load_checkpoint(path)
+    assert np.array_equal(restored.model.parameters_vector(),
+                          trainer.model.parameters_vector())
+    trainer.fit(samples)
+    restored.fit(samples)
+    assert restored.history.train_loss == trainer.history.train_loss
+    assert np.array_equal(restored.model.parameters_vector(),
+                          trainer.model.parameters_vector())
+
+
+def test_checkpoint_recording_another_target_is_refused(samples, tmp_path):
+    """A checkpoint trained on another target regressed a different
+    quantity: resuming it on delay is refused, naming ``target``."""
+    trainer = _trainer(1)
+    trainer.fit(samples)
+    path = trainer.save_checkpoint(str(tmp_path / "ckpt"))
+    _record_settings(path, target="jitter")
+    with pytest.raises(ValueError, match="target: saved='jitter' current='delay'"):
+        _trainer(1).load_checkpoint(path)
+
+
 def test_missing_checkpoint_raises(tmp_path):
     trainer = _trainer(1)
     with pytest.raises(FileNotFoundError):
@@ -233,3 +263,5 @@ def test_trainer_config_validation():
         TrainerConfig(overlap=True)
     with pytest.raises(TypeError, match="loss"):
         TrainerConfig(loss="mse")
+    with pytest.raises(TypeError, match="target"):
+        TrainerConfig(target="delay")

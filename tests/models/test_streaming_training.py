@@ -23,6 +23,7 @@ from repro.datasets import (
     iter_window_batches,
     make_batches,
     save_dataset,
+    tensorize_sample,
     tensorize_stream,
 )
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
@@ -120,7 +121,7 @@ def test_streamed_epoch_bit_identical_at_batch_size_one(tmp_path):
                                 DatasetConfig(num_samples=3, seed=4,
                                               small_queue_fraction=0.5)))
     fitted = FeatureNormalizer().fit(mixed)
-    lengths = {fitted.tensorize(s).max_path_length for s in mixed}
+    lengths = {tensorize_sample(s, fitted).max_path_length for s in mixed}
     assert len(lengths) > 1  # bucketing would actually reorder these
     store = save_dataset(mixed, str(tmp_path / "mixed"), normalizer=fitted,
                          shards=2)
@@ -214,7 +215,7 @@ def test_streaming_checkpoint_resume_bit_exact(samples, normalizer, store,
 def test_window_batches_match_make_batches(samples, normalizer):
     """One window covering the dataset builds exactly the in-memory batches
     (same stable length-bucketed membership, same member order)."""
-    items = [normalizer.tensorize(s) for s in samples]
+    items = [tensorize_sample(s, normalizer) for s in samples]
     expected = make_batches(items, 2, bucket_by_length=True)
     streamed = list(iter_window_batches(tensorize_stream(samples, normalizer),
                                         batch_size=2, window_batches=64))

@@ -230,13 +230,6 @@ class TestModuleBasics:
         model.zero_grad()
         assert model.weight.grad is None
 
-    def test_train_eval_propagates(self):
-        model = nn.Sequential([Dense(2, 2), Dense(2, 1)])
-        model.eval()
-        assert not model.layers[1].training
-        model.train()
-        assert model.layers[1].training
-
 
 class TestOptimizerStateDict:
     """The optimiser state must round-trip its moment buffers, not just the
@@ -321,34 +314,3 @@ class TestOptimizerStateDict:
         state["first_moment"] = state["first_moment"] + [np.zeros(4)]
         with pytest.raises(ValueError, match="buffers"):
             optimizer.load_state_dict(state)
-
-
-class TestEvaluateModeRestore:
-    """RouteNetTrainer.evaluate_loss must leave the model's train/eval mode
-    as it found it."""
-
-    @staticmethod
-    def _trainer():
-        from repro.datasets import DatasetConfig, FeatureNormalizer, generate_dataset
-        from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
-        from repro.topology import ring_topology
-
-        samples = generate_dataset(ring_topology(4), DatasetConfig(num_samples=1, seed=3))
-        normalizer = FeatureNormalizer().fit(samples)
-        model = ExtendedRouteNet(RouteNetConfig(
-            link_state_dim=4, path_state_dim=4, node_state_dim=4,
-            message_passing_iterations=1, seed=3))
-        return (RouteNetTrainer(model, TrainerConfig(epochs=1)),
-                [normalizer.tensorize(s) for s in samples])
-
-    def test_training_model_returns_to_training(self):
-        trainer, items = self._trainer()
-        trainer.model.train()
-        trainer.evaluate_loss(items)
-        assert trainer.model.training
-
-    def test_eval_model_stays_in_eval(self):
-        trainer, items = self._trainer()
-        trainer.model.eval()
-        trainer.evaluate_loss(items)
-        assert not trainer.model.training

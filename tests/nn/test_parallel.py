@@ -101,13 +101,14 @@ def _toy_batches(seed: int = 3):
     from repro.datasets import DatasetConfig, generate_dataset
     from repro.datasets.batching import make_batches
     from repro.datasets.normalization import FeatureNormalizer
+    from repro.datasets.tensorize import tensorize_sample
     from repro.topology import ring_topology
 
     samples = generate_dataset(ring_topology(4),
                                DatasetConfig(num_samples=4, seed=seed,
                                              small_queue_fraction=0.5))
     normalizer = FeatureNormalizer().fit(samples)
-    items = [normalizer.tensorize(s) for s in samples]
+    items = [tensorize_sample(s, normalizer) for s in samples]
     return make_batches(items, 2)
 
 
@@ -126,13 +127,14 @@ def _geant2_batches():
     from repro.datasets import DatasetConfig, generate_dataset
     from repro.datasets.batching import make_batches
     from repro.datasets.normalization import FeatureNormalizer
+    from repro.datasets.tensorize import tensorize_sample
     from repro.topology import geant2_topology
 
     samples = generate_dataset(geant2_topology(),
                                DatasetConfig(num_samples=4, seed=7,
                                              small_queue_fraction=0.5))
     normalizer = FeatureNormalizer().fit(samples)
-    return make_batches([normalizer.tensorize(s) for s in samples], 2)
+    return make_batches([tensorize_sample(s, normalizer) for s in samples], 2)
 
 
 def _poisoned_batch(batch):

@@ -15,6 +15,7 @@ import pytest
 from repro.datasets import DatasetConfig, generate_dataset
 from repro.datasets.batching import make_batches
 from repro.datasets.normalization import FeatureNormalizer
+from repro.datasets.tensorize import tensorize_sample
 from repro.models import ExtendedRouteNet, RouteNetConfig, RouteNetTrainer, TrainerConfig
 from repro.nn.parallel import GradientWorkerPool
 from repro.testing.faults import ENV_MARKER_DIR, ENV_PLAN
@@ -37,7 +38,7 @@ def _toy_samples(count: int = 4, seed: int = 3):
 def _toy_batches():
     samples = _toy_samples()
     normalizer = FeatureNormalizer().fit(samples)
-    return make_batches([normalizer.tensorize(s) for s in samples], 2)
+    return make_batches([tensorize_sample(s, normalizer) for s in samples], 2)
 
 
 def _arm(monkeypatch, tmp_path, specs):
